@@ -185,8 +185,7 @@ fn stats_json(stats: &SynthesisStats, solved: bool) -> String {
                 .num("merges", stats.minimize_profile.merges)
                 .num("base_labelings", stats.minimize_profile.base_labelings)
                 .num("full_checks", stats.minimize_profile.full_checks)
-                .num("incremental_relabels", stats.minimize_profile.incremental_relabels)
-                .num("pruned_candidates", stats.minimize_profile.pruned_candidates)
+                .num("carried", stats.minimize_profile.carried)
                 .num("parallel_batches", stats.minimize_profile.parallel_batches)
                 .num("parallel_steals", stats.minimize_profile.parallel_steals)
                 .num("speculative_attempts", stats.minimize_profile.speculative_attempts)
@@ -680,8 +679,7 @@ fn compare_minimize(name: &str, procs: usize, mut problem: SynthesisProblem, run
         .num("attempts", fast_prof.attempts)
         .num("merges", fast_prof.merges)
         .num("full_checks", fast_prof.full_checks)
-        .num("incremental_relabels", fast_prof.incremental_relabels)
-        .num("pruned_candidates", fast_prof.pruned_candidates)
+        .num("carried", fast_prof.carried)
         .bool("identical_models", true)
         .build()
 }
@@ -1108,7 +1106,7 @@ fn main() {
             "generated_by",
             "cargo run --release -p ftsyn-bench --bin bench_json",
         )
-        .str("schema_version", "10")
+        .str("schema_version", "11")
         .raw("problems", &arr(problems))
         .raw("budgeted", &arr(budgeted))
         .raw("service_throughput", &arr(service_rows))

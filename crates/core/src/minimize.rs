@@ -28,26 +28,25 @@
 //!    ([`Transfer`]) proves most requirement conjuncts on the candidate
 //!    directly from the base labeling (merging only redirects edges
 //!    into the surviving state, so truths whose witnessing structure is
-//!    preserved carry over). Requirements it cannot transfer are
-//!    decided from the base labeling when the needed state lies outside
-//!    the merge's *dirty region* ([`dirty_region`]), and only the
-//!    leftovers pay for exact evaluation on the candidate — restricted
-//!    to the few "dirty" conjuncts, not the whole closure.
+//!    preserved carry over). Only the leftovers pay for exact
+//!    evaluation on the candidate — restricted to the few "dirty"
+//!    conjuncts, not the whole closure.
 //! 2. **Parallel candidate verification.** Candidates of a round are
 //!    independent, so they fan out over
 //!    [`ftsyn_tableau::earliest_success`], which commits the
 //!    lowest-index success at every thread count — the exact candidate
 //!    the sequential greedy scan would take.
-//! 3. **Candidate pruning.** Fault-closure violations are detected from
-//!    a per-round signature scan ([`RoundCtx::uncovered`]) in O(1) per
-//!    candidate, rejecting provably unmergeable pairs without building
-//!    the candidate.
+//! 3. **Carried rejections.** A candidate rejected because a universal
+//!    `AG` conjunct of the specification fails at the initial state
+//!    stays rejected after every later merge ([`Carried`]), so later
+//!    rounds reject it without building the candidate.
 //!
 //! Transfers only ever prove *satisfaction*; every rejection comes from
-//! an exact evaluation (base labeling lookup outside the dirty region,
-//! or a model-checker run on the candidate). Hence the accept/reject
-//! verdict per candidate — and with it the greedy merge sequence and
-//! the final model — is identical to the reference engine's.
+//! an exact evaluation on the candidate, or from a carried exact
+//! evaluation on a model the candidate is a quotient of. Hence the
+//! accept/reject verdict per candidate — and with it the greedy merge
+//! sequence and the final model — is identical to the reference
+//! engine's.
 
 use crate::problem::SynthesisProblem;
 use crate::verify::semantics_of;
@@ -57,7 +56,7 @@ use ftsyn_kripke::{
     Checker, FtKripke, LabelCache, PropSet, Semantics, StateId, StateRole, TransKind,
 };
 use ftsyn_tableau::{earliest_success, AbortReason, Governor};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Work counters of one [`semantic_minimize`] run. Minimization
 /// dominates the pipeline on the larger instances, so the counters
@@ -75,17 +74,13 @@ pub struct MinimizeProfile {
     /// Full labelings of an accepted base model (one per greedy round).
     /// The reference engine instead pays one full labeling per attempt.
     pub base_labelings: usize,
-    /// Attempts that needed at least one exact formula evaluation on
-    /// the whole candidate model (the expensive path; evaluation is
-    /// still restricted to the dirty requirement conjuncts).
+    /// Attempts decided on a built candidate model: transfers from the
+    /// base labeling plus exact evaluation of the open conjuncts.
     pub full_checks: usize,
-    /// Attempts decided purely from the base-model labeling: every
-    /// requirement either transferred onto the candidate or was read
-    /// off the cache outside the merge's dirty region.
-    pub incremental_relabels: usize,
-    /// Attempts rejected by the fault-closure signature prune without
-    /// building a candidate model.
-    pub pruned_candidates: usize,
+    /// Attempts rejected by a rejection carried over from an earlier
+    /// round, without building the candidate. `full_checks + carried ==
+    /// attempts`.
+    pub carried: usize,
     /// Work chunks claimed by parallel candidate scans (zero when the
     /// scan runs on one thread). Not deterministic across thread counts.
     pub parallel_batches: usize,
@@ -103,24 +98,22 @@ pub struct MinimizeProfile {
 impl MinimizeProfile {
     /// The counters guaranteed to be bit-identical across thread counts
     /// (in declaration order: attempts, merges, base labelings, full
-    /// checks, incremental relabels, pruned candidates). The conformance
-    /// thread-matrix tests compare exactly this slice.
-    pub fn deterministic_counters(&self) -> [usize; 6] {
+    /// checks, carried rejections). The conformance thread-matrix tests
+    /// compare exactly this slice.
+    pub fn deterministic_counters(&self) -> [usize; 5] {
         [
             self.attempts,
             self.merges,
             self.base_labelings,
             self.full_checks,
-            self.incremental_relabels,
-            self.pruned_candidates,
+            self.carried,
         ]
     }
 
     fn count(&mut self, kind: Kind) {
         match kind {
-            Kind::Pruned => self.pruned_candidates += 1,
-            Kind::Incremental => self.incremental_relabels += 1,
             Kind::Full => self.full_checks += 1,
+            Kind::Carried => self.carried += 1,
         }
     }
 }
@@ -197,7 +190,25 @@ struct Requirements {
     tol_of_action: Vec<usize>,
     /// All whole requirement formulae, labeled on each accepted model.
     roots: Vec<FormulaId>,
+    /// Dense by formula id: the universal conjuncts `p` of `h` for the
+    /// spec's `AG h` conjuncts — the parts whose failure at the initial
+    /// state is carried across rounds (see [`Carried`]).
+    carriable: Vec<bool>,
     num_props: usize,
+}
+
+/// Whether `f` is universal: built from literals, `∧`, `∨`, `AXᵢ`, `AU`
+/// and `AW` only. A violation of a universal formula maps to a
+/// violation under every quotient of a dead-end-free model.
+fn is_universal(arena: &FormulaArena, f: FormulaId) -> bool {
+    match arena.get(f) {
+        Formula::True | Formula::False | Formula::Prop(_) | Formula::NegProp(_) => true,
+        Formula::And(a, b) | Formula::Or(a, b) | Formula::Au(a, b) | Formula::Aw(a, b) => {
+            is_universal(arena, a) && is_universal(arena, b)
+        }
+        Formula::Ax(_, g) => is_universal(arena, g),
+        Formula::Ex(..) | Formula::Eu(..) | Formula::Ew(..) => false,
+    }
 }
 
 impl Requirements {
@@ -218,18 +229,27 @@ impl Requirements {
                 distinct.iter().position(|&d| d == t).expect("distinct() covers every action")
             })
             .collect();
-        let spec = problem
+        let spec: Vec<Req> = problem
             .arena
             .conjuncts(spec_formula)
             .into_iter()
             .map(|c| Req::of(&problem.arena, c))
             .collect();
+        let mut carriable = vec![false; problem.arena.len()];
+        for r in &spec {
+            if let Req::Ag { parts, .. } = r {
+                for &p in parts {
+                    carriable[p.index()] = is_universal(&problem.arena, p);
+                }
+            }
+        }
         Requirements {
             semantics,
             spec,
             tol_reqs,
             tol_of_action,
             roots,
+            carriable,
             num_props: problem.props.len(),
         }
     }
@@ -253,10 +273,10 @@ struct RoundCtx {
     /// Whether every base state has a path successor (merging never
     /// removes successors, so this carries to every candidate).
     no_dead_ends: bool,
-    /// Base states missing a fault transition for some enabled outcome.
-    /// Empty on fault-closed models, which makes the per-candidate
-    /// closure check O(1).
-    uncovered: Vec<StateId>,
+    /// Whether the base is fault closed. Merging unions successor sets
+    /// and keeps every valuation, so then every candidate is fault
+    /// closed too and needs no closure check.
+    fault_closed: bool,
     /// Dense by base state: reachability including fault transitions.
     /// When a candidate merges two states of equal reachability, the
     /// reachable set — and with it every state's role — carries over to
@@ -269,30 +289,20 @@ struct RoundCtx {
     perturbed: Vec<(StateId, Vec<usize>)>,
 }
 
-fn whether_covered(model: &FtKripke, s: StateId, ai: usize, phi: &PropSet) -> bool {
-    model
-        .succ(s)
-        .iter()
-        .any(|e| e.kind == TransKind::Fault(ai) && model.state(e.to).props == *phi)
-}
-
-fn uncovered_states(faults: &[FaultAction], num_props: usize, model: &FtKripke) -> Vec<StateId> {
-    let mut out = Vec::new();
-    'states: for s in model.state_ids() {
+/// The fault-closure predicate of `verify_semantic`: every enabled
+/// fault action is represented, outcome by outcome, at every state.
+fn is_fault_closed(faults: &[FaultAction], num_props: usize, model: &FtKripke) -> bool {
+    model.state_ids().all(|s| {
         let valuation = &model.state(s).props;
-        for (ai, action) in faults.iter().enumerate() {
-            if !action.enabled(valuation) {
-                continue;
-            }
-            for phi in action.outcomes(valuation, num_props) {
-                if !whether_covered(model, s, ai, &phi) {
-                    out.push(s);
-                    continue 'states;
-                }
-            }
-        }
-    }
-    out
+        faults.iter().enumerate().all(|(ai, action)| {
+            !action.enabled(valuation)
+                || action.outcomes(valuation, num_props).iter().all(|phi| {
+                    model.succ(s).iter().any(|e| {
+                        e.kind == TransKind::Fault(ai) && model.state(e.to).props == *phi
+                    })
+                })
+        })
+    })
 }
 
 /// Reachability over all transitions, faults included — the same set
@@ -348,52 +358,10 @@ fn round_ctx(env: &Env<'_>, model: &FtKripke, roles: &[StateRole]) -> RoundCtx {
         cache,
         all_true,
         no_dead_ends,
-        uncovered: uncovered_states(env.faults, env.reqs.num_props, model),
+        fault_closed: is_fault_closed(env.faults, env.reqs.num_props, model),
         reach: reachable_with_faults(model),
         perturbed,
     }
-}
-
-/// Exact fault-closure verdict for the candidate `merged(model, from,
-/// into)` from base-model signatures alone.
-///
-/// Merging preserves every state's valuation and every fault edge's
-/// target valuation, so a state other than `from`/`into` is closed in
-/// the candidate iff it is closed in the base; the merged state is
-/// closed iff each enabled outcome is covered by `from` *or* `into`
-/// (its successor set is the union of theirs). The O(1) fast path:
-/// `RoundCtx::uncovered` is empty — every candidate is closed.
-fn closure_ok(
-    env: &Env<'_>,
-    round: &RoundCtx,
-    model: &FtKripke,
-    from: StateId,
-    into: StateId,
-) -> bool {
-    let mut pair_uncovered = false;
-    for &s in &round.uncovered {
-        if s == from || s == into {
-            pair_uncovered = true;
-        } else {
-            return false;
-        }
-    }
-    if pair_uncovered {
-        let valuation = &model.state(into).props;
-        for (ai, action) in env.faults.iter().enumerate() {
-            if !action.enabled(valuation) {
-                continue;
-            }
-            for phi in action.outcomes(valuation, env.reqs.num_props) {
-                if !whether_covered(model, from, ai, &phi)
-                    && !whether_covered(model, into, ai, &phi)
-                {
-                    return false;
-                }
-            }
-        }
-    }
-    true
 }
 
 /// The transfer calculus: sound per-formula proofs that base-model
@@ -516,9 +484,10 @@ impl<'a> Transfer<'a> {
 /// How a candidate's verdict was reached (profiled per attempt).
 #[derive(Clone, Copy, Debug)]
 enum Kind {
-    Pruned,
-    Incremental,
+    /// Decided on the built candidate model.
     Full,
+    /// Rejected by a rejection carried over from an earlier round.
+    Carried,
 }
 
 /// Per-candidate verdict plus its cost class. Deliberately tiny: the
@@ -528,64 +497,97 @@ enum Kind {
 struct Decision {
     ok: bool,
     kind: Kind,
+    /// The rejection survives every later merge (see [`Carried`]).
+    carry: bool,
+    /// The `AG` part that refuted the candidate, if one did.
+    killer: Option<FormulaId>,
 }
 
-/// Bounded backward closure of the merged state over path-relevant
-/// edges of the candidate — the *dirty region*: the only states whose
-/// labeling can differ from the base model's. A state outside it cannot
-/// reach the merged state, so its path-relevant forward subgraph is
-/// valuation- and edge-isomorphic to its preimage's, and every formula
-/// keeps its base value there verbatim. Under `⊨ₙ` fault edges are
-/// invisible to every operator, so only fault-free edges propagate
-/// dirtiness. Returns `None` when the region escapes a quarter of the
-/// candidate — the incremental lookup only pays off when the merge's
-/// influence is local, and the caller falls back to the full check.
-fn dirty_region(cand: &FtKripke, semantics: Semantics, seed: StateId) -> Option<Vec<bool>> {
-    // The constant cap bounds the cost of a futile expansion (strongly
-    // connected protocol graphs escape every bound); the verdict stays a
-    // pure function of the candidate, hence thread-count independent.
-    let bound = (cand.len() / 4).clamp(2, 64);
-    let include_faults = semantics == Semantics::IncludeFaults;
-    let mut in_region = vec![false; cand.len()];
-    in_region[seed.index()] = true;
-    let mut count = 1usize;
-    let mut stack = vec![seed];
-    while let Some(t) = stack.pop() {
-        for e in cand.pred(t) {
-            if !include_faults && e.kind.is_fault() {
-                continue;
-            }
-            let s = e.to; // source
-            if !in_region[s.index()] {
-                in_region[s.index()] = true;
-                count += 1;
-                if count > bound {
-                    return None;
-                }
-                stack.push(s);
-            }
+impl Decision {
+    const CARRIED: Decision = Decision {
+        ok: false,
+        kind: Kind::Carried,
+        carry: true,
+        killer: None,
+    };
+
+    fn full(ok: bool) -> Decision {
+        Decision {
+            ok,
+            kind: Kind::Full,
+            carry: false,
+            killer: None,
         }
     }
-    Some(in_region)
+}
+
+/// Rejections carried across rounds, keyed by unordered state pair.
+///
+/// A later candidate `M_{k+1}/(a~b)` is a further quotient of the
+/// rejected candidate `M_k/(a~b)`: `M_{k+1}` is itself a quotient of
+/// `M_k`. The quotient map keeps valuations, transition kinds and the
+/// initial state, so every path of the rejected candidate maps to a
+/// path of the later one, and by induction on the formula every
+/// violation witness of a universal formula ([`is_universal`]) maps to
+/// a violation witness (ACTL is preserved by simulation). Hence a
+/// rejection carries when
+///
+/// 1. the refuting formula is a universal conjunct `p` of `h` for a
+///    spec conjunct `AG h` (an existential witness need not survive a
+///    merge);
+/// 2. the base was dead-end free under the semantics in force
+///    ([`RoundCtx::no_dead_ends`]) — otherwise a finite maximal path
+///    may become extendable after a merge, which can make `A[gUh]`
+///    true; merging never removes successors, so every later quotient
+///    stays dead-end free;
+/// 3. the violation is at the initial state, where the spec obligation
+///    always applies. A tolerance obligation at a perturbed state is
+///    not carried: a later merge can make that state's image normal
+///    and so drop the obligation.
+///
+/// Only committed verdicts (scan indices below the accepted merge) are
+/// recorded, never speculative ones, and each accepted merge maps every
+/// pair forward through its step map; pairs it collapses are dropped.
+#[derive(Default)]
+struct Carried {
+    pairs: HashSet<(StateId, StateId)>,
+}
+
+impl Carried {
+    fn key(a: StateId, b: StateId) -> (StateId, StateId) {
+        (a.min(b), a.max(b))
+    }
+
+    fn contains(&self, a: StateId, b: StateId) -> bool {
+        self.pairs.contains(&Carried::key(a, b))
+    }
+
+    fn insert(&mut self, a: StateId, b: StateId) {
+        self.pairs.insert(Carried::key(a, b));
+    }
+
+    /// Maps every pair through an accepted merge's step map.
+    fn step(&mut self, step_map: &[StateId]) {
+        self.pairs = self
+            .pairs
+            .iter()
+            .map(|&(a, b)| (step_map[a.index()], step_map[b.index()]))
+            .filter(|(a, b)| a != b)
+            .map(|(a, b)| Carried::key(a, b))
+            .collect();
+    }
 }
 
 /// Decides one candidate merge: the exact `verify_semantic` verdict on
-/// `merged(model, from, into)`, computed through the cheap paths first.
+/// `merged(model, from, into)`.
 fn decide(
     env: &Env<'_>,
     model: &FtKripke,
     round: &RoundCtx,
+    kills: &HashMap<FormulaId, u32>,
     from: StateId,
     into: StateId,
 ) -> Decision {
-    // Lever 3: signature prune (exact, no candidate build).
-    if !closure_ok(env, round, model, from, into) {
-        return Decision {
-            ok: false,
-            kind: Kind::Pruned,
-        };
-    }
-
     // The candidate structure is needed for role classification (which
     // states are perturbed) and for any exact evaluation. It is built
     // into a per-worker scratch buffer: candidate construction runs
@@ -598,7 +600,10 @@ fn decide(
         let mut guard = scratch.borrow_mut();
         let (cand, step_map) = &mut *guard;
         model.merge_into(from, into, cand, step_map);
-        decide_on(env, round, from, into, cand)
+        if !round.fault_closed && !is_fault_closed(env.faults, env.reqs.num_props, cand) {
+            return Decision::full(false);
+        }
+        decide_on(env, round, kills, from, into, cand)
     })
 }
 
@@ -622,6 +627,7 @@ enum ReqRes {
 fn decide_on(
     env: &Env<'_>,
     round: &RoundCtx,
+    kills: &HashMap<FormulaId, u32>,
     from: StateId,
     into: StateId,
     cand: &FtKripke,
@@ -639,11 +645,11 @@ fn decide_on(
     // requirement instead of once per obligation.
     let mut open_plain: Vec<(FormulaId, StateId)> = Vec::new();
     // Open `AG` groups: (dirty conjuncts, obligation states).
-    let mut ag_open: Vec<(FormulaId, Vec<FormulaId>, Vec<StateId>)> = Vec::new();
+    let mut ag_open: Vec<(Vec<FormulaId>, Vec<StateId>)> = Vec::new();
     let mut res_memo: HashMap<FormulaId, ReqRes> = HashMap::new();
     let mut add = |tr: &mut Transfer<'_>,
                    open_plain: &mut Vec<(FormulaId, StateId)>,
-                   ag_open: &mut Vec<(FormulaId, Vec<FormulaId>, Vec<StateId>)>,
+                   ag_open: &mut Vec<(Vec<FormulaId>, Vec<StateId>)>,
                    r: &Req,
                    c: StateId| {
         let whole = match r {
@@ -673,7 +679,7 @@ fn decide_on(
                     if dirty.is_empty() {
                         ReqRes::Discharged
                     } else {
-                        ag_open.push((*whole, dirty, Vec::new()));
+                        ag_open.push((dirty, Vec::new()));
                         ReqRes::OpenAg(ag_open.len() - 1)
                     }
                 }
@@ -693,7 +699,7 @@ fn decide_on(
                 }
             }
             ReqRes::OpenPlain => open_plain.push((whole, c)),
-            ReqRes::OpenAg(i) => ag_open[*i].2.push(c),
+            ReqRes::OpenAg(i) => ag_open[*i].1.push(c),
         }
     };
     for r in &env.reqs.spec {
@@ -757,92 +763,38 @@ fn decide_on(
             }
         }
     }
-    if open_plain.is_empty() && ag_open.iter().all(|g| g.2.is_empty()) {
-        return Decision {
-            ok: true,
-            kind: Kind::Incremental,
-        };
-    }
-
-    // Lever 1b: needed states outside the dirty region keep their base
-    // labeling verbatim — an exact (possibly rejecting) lookup. The
-    // merged state seeds the region, so an outside state has a unique
-    // preimage.
-    if let Some(region) = dirty_region(cand, env.reqs.semantics, merged_state) {
-        let mut reject = false;
-        let mut filter = |whole: FormulaId, c: StateId| -> bool {
-            if region[c.index()] {
-                return true;
-            }
-            match round.cache.holds(whole, preimage(c, from)) {
-                Some(true) => false,
-                Some(false) => {
-                    reject = true;
-                    true
-                }
-                // Safety net — requirement roots are always cached.
-                None => true,
-            }
-        };
-        open_plain.retain(|&(whole, c)| filter(whole, c));
-        for (whole, _, sites) in &mut ag_open {
-            let w = *whole;
-            sites.retain(|&c| filter(w, c));
-        }
-        if reject {
-            return Decision {
-                ok: false,
-                kind: Kind::Incremental,
-            };
-        }
-        if open_plain.is_empty() && ag_open.iter().all(|g| g.2.is_empty()) {
-            return Decision {
-                ok: true,
-                kind: Kind::Incremental,
-            };
-        }
-    }
-
-    // Full fallback: exact evaluation on the candidate, restricted to
-    // the open obligations. Dirty AG conjuncts share one `AG part`
-    // vector across requirements and obligation states, and are tried
-    // killers-first: conjuncts that rejected recent candidates are
-    // evaluated before ones that always pass. The scores live in
-    // worker-thread-local storage and only order the conjuncts of a
-    // conjunction, so they steer cost, never the verdict — the decision
-    // and its cost class stay bit-identical at every thread count.
-    thread_local! {
-        static KILLS: std::cell::RefCell<HashMap<FormulaId, u32>> =
-            std::cell::RefCell::new(HashMap::new());
-    }
+    // Exact evaluation on the candidate, restricted to the open
+    // obligations. Dirty AG conjuncts share one `AG part` vector across
+    // requirements and obligation states, and are tried killers-first:
+    // conjuncts that rejected earlier committed candidates are
+    // evaluated before ones that always pass. The scores change only
+    // between rounds, so the first failing conjunct — and with it
+    // whether the rejection carries — is a function of the candidate
+    // and the committed history, identical at every thread count.
     let mut ck = Checker::new(cand, env.reqs.semantics);
     let mut ag_memo: HashMap<FormulaId, Vec<bool>> = HashMap::new();
-    let verdict = KILLS.with(|kills| {
-        let mut kills = kills.borrow_mut();
-        for (_, parts, sites) in &mut ag_open {
-            if sites.is_empty() {
-                continue;
-            }
-            parts.sort_by_key(|p| {
-                (std::cmp::Reverse(kills.get(p).copied().unwrap_or(0)), p.index())
+    for (parts, sites) in &mut ag_open {
+        parts.sort_by_key(|p| {
+            (std::cmp::Reverse(kills.get(p).copied().unwrap_or(0)), p.index())
+        });
+        for &p in parts.iter() {
+            let ag = ag_memo.entry(p).or_insert_with(|| {
+                let vp = ck.eval(env.arena, p).clone();
+                ck.ag_of(&vp)
             });
-            for &p in parts.iter() {
-                let ag = ag_memo.entry(p).or_insert_with(|| {
-                    let vp = ck.eval(env.arena, p).clone();
-                    ck.ag_of(&vp)
-                });
-                if sites.iter().any(|&c| !ag[c.index()]) {
-                    *kills.entry(p).or_insert(0) += 1;
-                    return false;
-                }
+            if sites.iter().any(|&c| !ag[c.index()]) {
+                return Decision {
+                    ok: false,
+                    kind: Kind::Full,
+                    carry: round.no_dead_ends
+                        && env.reqs.carriable[p.index()]
+                        && !ag[init_c.index()],
+                    killer: Some(p),
+                };
             }
         }
-        open_plain.iter().all(|&(whole, c)| ck.holds(env.arena, whole, c))
-    });
-    Decision {
-        ok: verdict,
-        kind: Kind::Full,
     }
+    Decision::full(open_plain.iter().all(|&(whole, c)| ck.holds(env.arena, whole, c)))
 }
 
 /// Greedily merges same-valuation states while the model keeps passing
@@ -924,6 +876,9 @@ fn minimize_core(
     };
     let mut model = model;
     let mut total_map: Vec<StateId> = model.state_ids().collect();
+    let mut carried = Carried::default();
+    // How often each `AG` part refuted a committed candidate.
+    let mut kills: HashMap<FormulaId, u32> = HashMap::new();
     'outer: loop {
         // Group state ids by (valuation, normality). Merging a normal
         // with a non-normal copy would enlarge the fault-free reachable
@@ -980,7 +935,17 @@ fn minimize_core(
                 g.check_realtime()?;
             }
             let (from, into) = candidates[i];
-            let d = decide(&env, &model, &round, from, into);
+            if carried.contains(from, into) {
+                // The soundness oracle: a carried rejection must agree
+                // with a full decision on the candidate.
+                #[cfg(any(test, feature = "slow-reference"))]
+                assert!(
+                    !decide(&env, &model, &round, &kills, from, into).ok,
+                    "carried rejection of {from:?}->{into:?} passes a full decision"
+                );
+                return Ok((false, Decision::CARRIED));
+            }
+            let d = decide(&env, &model, &round, &kills, from, into);
             Ok((d.ok, d))
         });
         let (found, outcomes, stats) = match scan {
@@ -997,8 +962,15 @@ fn minimize_core(
                 // counts; speculative verdicts are tallied separately.
                 profile.attempts += j + 1;
                 profile.speculative_attempts += stats.tested - (j + 1);
-                for d in outcomes.iter().take(j + 1).flatten() {
+                for (d, &(a, b)) in outcomes.iter().take(j + 1).zip(&candidates) {
+                    let d = d.expect("the committed prefix is decided");
                     profile.count(d.kind);
+                    if d.carry {
+                        carried.insert(a, b);
+                    }
+                    if let Some(p) = d.killer {
+                        *kills.entry(p).or_insert(0) += 1;
+                    }
                 }
                 profile.merges += 1;
                 let (from, into) = candidates[j];
@@ -1007,6 +979,7 @@ fn minimize_core(
                 for t in total_map.iter_mut() {
                     *t = step_map[t.index()];
                 }
+                carried.step(&step_map);
                 continue 'outer;
             }
             None => {
@@ -1273,7 +1246,7 @@ mod tests {
         assert!(profile.attempts > 0, "candidates were actually tried");
         // Every attempt is classified by exactly one decision path.
         assert_eq!(
-            profile.pruned_candidates + profile.incremental_relabels + profile.full_checks,
+            profile.full_checks + profile.carried,
             profile.attempts,
             "decision-path counters partition the attempts: {profile:?}"
         );
@@ -1360,12 +1333,16 @@ mod tests {
                     "{name}: merges diverge at {threads} threads"
                 );
                 assert_eq!(
-                    profile.pruned_candidates
-                        + profile.incremental_relabels
-                        + profile.full_checks,
+                    profile.full_checks + profile.carried,
                     profile.attempts,
                     "{name}: decision-path counters partition the attempts"
                 );
+                if name == "phil3" {
+                    assert!(
+                        profile.carried > 0,
+                        "{name}: no rejection carried across rounds: {profile:?}"
+                    );
+                }
             }
         }
     }
@@ -1375,22 +1352,32 @@ mod tests {
     /// layer compares.
     #[test]
     fn deterministic_counters_agree_across_thread_counts() {
-        let mut problem = mutex::with_fail_stop(2, crate::Tolerance::Masking);
-        let pre = pre_minimization_model(&mut problem);
-        let (_, _, base) = semantic_minimize_with_threads(&mut problem, pre.clone(), 1);
-        for threads in [2, 8] {
-            let mut problem = mutex::with_fail_stop(2, crate::Tolerance::Masking);
-            let _ = pre_minimization_model(&mut problem);
-            let (_, _, p) = semantic_minimize_with_threads(&mut problem, pre.clone(), threads);
-            assert_eq!(
-                p.deterministic_counters(),
-                base.deterministic_counters(),
-                "threads={threads}"
-            );
-            assert_eq!(p.threads, threads);
+        type ProblemMaker = fn() -> SynthesisProblem;
+        let problems: Vec<(&str, ProblemMaker)> = vec![
+            ("mutex2-failstop", || {
+                mutex::with_fail_stop(2, crate::Tolerance::Masking)
+            }),
+            ("phil3", || mutex::dining_philosophers(3)),
+        ];
+        for (name, mk) in problems {
+            let mut problem = mk();
+            let pre = pre_minimization_model(&mut problem);
+            let (_, _, base) = semantic_minimize_with_threads(&mut problem, pre.clone(), 1);
+            for threads in [2, 8] {
+                let mut problem = mk();
+                let _ = pre_minimization_model(&mut problem);
+                let (_, _, p) =
+                    semantic_minimize_with_threads(&mut problem, pre.clone(), threads);
+                assert_eq!(
+                    p.deterministic_counters(),
+                    base.deterministic_counters(),
+                    "{name}: threads={threads}"
+                );
+                assert_eq!(p.threads, threads);
+            }
+            assert_eq!(base.parallel_batches, 0, "sequential scans claim no chunks");
+            assert_eq!(base.speculative_attempts, 0, "sequential scans never speculate");
         }
-        assert_eq!(base.parallel_batches, 0, "sequential scans claim no chunks");
-        assert_eq!(base.speculative_attempts, 0, "sequential scans never speculate");
     }
 
     /// Governed runs abort at the same point as the reference engine:

@@ -333,6 +333,25 @@ impl CheckpointMap {
     }
 }
 
+/// A request id held in [`Service`]'s `active` registry for the life
+/// of its run. Dropping it deregisters the id and wakes pipelined
+/// resumes waiting for it.
+struct Registration<'s> {
+    service: &'s Service,
+    id: String,
+    gov: Arc<Governor>,
+    /// For a resume: the run of its `from` id that was active when the
+    /// resume registered, which it waits for.
+    awaited: Option<Arc<Governor>>,
+}
+
+impl Drop for Registration<'_> {
+    fn drop(&mut self) {
+        lock(&self.service.active).remove(&self.id);
+        self.service.idle.notify_all();
+    }
+}
+
 /// The daemon engine. See the crate docs for the architecture.
 pub struct Service {
     /// Expansion-cache partitions, one per problem source (cache keys
@@ -581,45 +600,76 @@ impl Service {
     /// Runs a synthesis request to completion (or abort) on the
     /// calling thread.
     pub fn submit(&self, req: Request) -> Reply {
-        self.submit_admitted(req, false)
-    }
-
-    /// [`Service::submit`] with the admission decision already made:
-    /// the serve loop admits requests in line order, so a request read
-    /// before the shutdown line runs even if quiescing has begun by
-    /// the time its worker thread gets scheduled.
-    fn submit_admitted(&self, req: Request, admitted: bool) -> Reply {
-        if !admitted && self.is_shutting_down() {
+        if self.is_shutting_down() {
             return Reply::error("shutting-down", "service is shutting down".to_owned());
         }
+        match self.register(&req.id, req.budget.clone(), None) {
+            Ok(reg) => self.submit_registered(req, reg),
+            Err(reply) => reply,
+        }
+    }
+
+    /// Registers `id` in `active` under a fresh governor for `budget`
+    /// (the service default when `None`). The governor's clock starts
+    /// here, so time spent waiting — for a resumed request, for an
+    /// admission slot — counts against the request's own deadline, and
+    /// cancel/shutdown reach the request from this point on.
+    ///
+    /// `awaits` names the request a resume reads its checkpoint from:
+    /// if that id is active now, the registration records that run,
+    /// and [`Service::resume_registered`] waits for exactly it. A
+    /// request can therefore only wait for one registered before it,
+    /// so waits never form a cycle.
+    fn register(
+        &self,
+        id: &str,
+        budget: Option<Budget>,
+        awaits: Option<&str>,
+    ) -> Result<Registration<'_>, Reply> {
+        let gov = Arc::new(Governor::with_budget(
+            budget.unwrap_or_else(|| self.default_budget.clone()),
+        ));
+        let awaited = {
+            let mut active = lock(&self.active);
+            if active.contains_key(id) {
+                return Err(Reply::error(
+                    "duplicate-id",
+                    format!("request id \"{id}\" is already active"),
+                ));
+            }
+            let awaited = awaits.and_then(|from| active.get(from).cloned());
+            active.insert(id.to_owned(), Arc::clone(&gov));
+            awaited
+        };
+        // Close the race with a hard shutdown whose cancel cascade ran
+        // between the caller's shutting-down check and the registration
+        // above.
+        if self.hard_shutdown.load(Ordering::SeqCst) {
+            gov.cancel();
+        }
+        Ok(Registration {
+            service: self,
+            id: id.to_owned(),
+            gov,
+            awaited,
+        })
+    }
+
+    /// [`Service::submit`] for a request already registered.
+    fn submit_registered(&self, req: Request, reg: Registration<'_>) -> Reply {
         let problem = match self.build_problem(&req.source) {
             Ok(p) => p,
             Err(reply) => return reply,
         };
-        let budget = req.budget.unwrap_or_else(|| self.default_budget.clone());
         self.run(
-            &req.id,
+            reg,
             req.threads,
-            budget,
             Work::Fresh {
                 source: req.source,
                 problem: Box::new(problem),
                 engine: req.engine,
             },
         )
-    }
-
-    /// Blocks until no request named `id` is active. Requests park
-    /// their checkpoint in the store *before* deregistering, so once
-    /// this returns the store reflects `id`'s final state.
-    fn wait_for(&self, id: &str) {
-        let mut active = lock(&self.active);
-        while active.contains_key(id) {
-            active = self
-                .idle
-                .wait(active)
-                .unwrap_or_else(|e| e.into_inner());
-        }
     }
 
     /// Resumes the checkpoint stored under `from`, publishing any new
@@ -629,23 +679,29 @@ impl Service {
     /// sent the resume line without waiting for the abort response),
     /// this blocks until it finishes.
     pub fn resume(&self, id: &str, from: &str, threads: usize, budget: Option<Budget>) -> Reply {
-        self.resume_admitted(id, from, threads, budget, false)
-    }
-
-    /// [`Service::resume`] with the admission decision already made
-    /// (see [`Service::submit_admitted`]).
-    fn resume_admitted(
-        &self,
-        id: &str,
-        from: &str,
-        threads: usize,
-        budget: Option<Budget>,
-        admitted: bool,
-    ) -> Reply {
-        if !admitted && self.is_shutting_down() {
+        if self.is_shutting_down() {
             return Reply::error("shutting-down", "service is shutting down".to_owned());
         }
-        self.wait_for(from);
+        match self.register(id, budget, Some(from)) {
+            Ok(reg) => self.resume_registered(from, threads, reg),
+            Err(reply) => reply,
+        }
+    }
+
+    /// [`Service::resume`] for a request already registered.
+    fn resume_registered(&self, from: &str, threads: usize, reg: Registration<'_>) -> Reply {
+        // Requests park their checkpoint in the store *before*
+        // deregistering, so once the awaited run has left `active` the
+        // store reflects `from`'s final state.
+        if let Some(awaited) = &reg.awaited {
+            let mut active = lock(&self.active);
+            while active.get(from).is_some_and(|g| Arc::ptr_eq(g, awaited)) {
+                active = self
+                    .idle
+                    .wait(active)
+                    .unwrap_or_else(|e| e.into_inner());
+            }
+        }
         // Fail a miss fast, but do NOT consume the checkpoint yet: it
         // stays parked (and durable) until admission actually grants a
         // slot, so a shed or expired resume loses nothing — the retry
@@ -663,38 +719,18 @@ impl Service {
                 ),
             );
         }
-        let budget = budget.unwrap_or_else(|| self.default_budget.clone());
         self.run(
-            id,
+            reg,
             threads,
-            budget,
             Work::Resume {
                 from: from.to_owned(),
             },
         )
     }
 
-    fn run(&self, id: &str, threads: usize, budget: Budget, work: Work) -> Reply {
-        // The governor starts its clock *before* admission, so time
-        // spent in the admission queue counts against the request's
-        // own deadline, and cancel/shutdown reach queued requests too.
-        let gov = Arc::new(Governor::with_budget(budget));
-        {
-            let mut active = lock(&self.active);
-            if active.contains_key(id) {
-                return Reply::error(
-                    "duplicate-id",
-                    format!("request id \"{id}\" is already active"),
-                );
-            }
-            active.insert(id.to_owned(), Arc::clone(&gov));
-        }
-        // Close the race with a hard shutdown whose cancel cascade ran
-        // between our shutting-down check and the registration above.
-        if self.hard_shutdown.load(Ordering::SeqCst) {
-            gov.cancel();
-        }
-        let reply = match self.admission.admit(&gov) {
+    fn run(&self, reg: Registration<'_>, threads: usize, work: Work) -> Reply {
+        let (id, gov) = (reg.id.as_str(), &reg.gov);
+        match self.admission.admit(gov) {
             Admission::Admitted(_permit) => {
                 // `_permit` releases the worker slot when this scope
                 // ends, whatever the pipeline outcome.
@@ -703,11 +739,11 @@ impl Service {
                         source,
                         mut problem,
                         engine,
-                    } => self.execute(id, source, &mut problem, threads, &gov, engine, None),
+                    } => self.execute(id, source, &mut problem, threads, gov, engine, None),
                     // The resume's checkpoint is consumed only now,
                     // with a slot in hand — a shed/expired resume
                     // below never touched it.
-                    Work::Resume { from } => self.execute_resume(id, &from, threads, &gov),
+                    Work::Resume { from } => self.execute_resume(id, &from, threads, gov),
                 }
             }
             Admission::Shed { retry_after_ms } => Reply::Overloaded { retry_after_ms },
@@ -716,13 +752,8 @@ impl Service {
                 reason,
                 resumable: false,
             },
-        };
-        {
-            let mut active = lock(&self.active);
-            active.remove(id);
-            self.idle.notify_all();
         }
-        reply
+        // `reg` deregisters here, after any checkpoint was parked.
     }
 
     /// The admitted half of a resume: claims the checkpoint from the
@@ -775,8 +806,8 @@ impl Service {
     }
 
     /// The pipeline proper: runs while the request is registered in
-    /// `active`; any checkpoint is parked before [`Service::run`]
-    /// deregisters, preserving the [`Service::wait_for`] invariant.
+    /// `active`; any checkpoint is parked before its [`Registration`]
+    /// drops, so a resume waiting for this run finds it.
     #[allow(clippy::too_many_arguments)]
     fn execute(
         &self,
@@ -1069,20 +1100,14 @@ pub fn parse_op(line: &str) -> Result<Op, (String, String)> {
 
 /// Executes a parsed operation against the service.
 pub fn dispatch(service: &Service, op: Op) -> Reply {
-    dispatch_admitted(service, op, false)
-}
-
-/// [`dispatch`] with the admission decision made by the caller: the
-/// serve loop admits ops in read order, before spawning the worker.
-fn dispatch_admitted(service: &Service, op: Op, admitted: bool) -> Reply {
     match op {
-        Op::Synthesize(req) => service.submit_admitted(req, admitted),
+        Op::Synthesize(req) => service.submit(req),
         Op::Resume {
             id,
             from,
             threads,
             budget,
-        } => service.resume_admitted(&id, &from, threads, budget, admitted),
+        } => service.resume(&id, &from, threads, budget),
         Op::Cancel { target, .. } => {
             if service.cancel(&target) {
                 Reply::Cancelled
@@ -1145,6 +1170,11 @@ pub fn serve<R: BufRead, W: Write + Send>(
     output: W,
 ) -> std::io::Result<()> {
     let out = Mutex::new(output);
+    let answer = |id: &str, reply: Reply| {
+        let mut w = lock(&out);
+        let _ = writeln!(w, "{}", reply.to_line(id));
+        let _ = w.flush();
+    };
     let mut read_error = None;
     std::thread::scope(|scope| {
         for line in input.lines() {
@@ -1158,43 +1188,56 @@ pub fn serve<R: BufRead, W: Write + Send>(
             if line.trim().is_empty() {
                 continue;
             }
-            match parse_op(&line) {
+            let op = match parse_op(&line) {
+                Ok(op) => op,
                 Err((id, message)) => {
-                    let mut w = lock(&out);
-                    let _ = writeln!(w, "{}", Reply::error("bad-request", message).to_line(&id));
-                    let _ = w.flush();
+                    answer(&id, Reply::error("bad-request", message));
+                    continue;
                 }
-                Ok(op @ Op::Shutdown { .. }) => {
-                    let id = op.id().to_owned();
-                    let reply = dispatch(service, op);
-                    let mut w = lock(&out);
-                    let _ = writeln!(w, "{}", reply.to_line(&id));
-                    let _ = w.flush();
-                    // Stop reading; the scope joins the in-flight
-                    // workers, which run to completion and answer.
-                    break;
-                }
-                Ok(op) => {
-                    // Admission is decided here, in read order: every
-                    // line read before a shutdown line runs even if
-                    // quiescing begins before its worker is scheduled.
-                    if service.is_shutting_down() {
-                        let reply =
-                            Reply::error("shutting-down", "service is shutting down".to_owned());
-                        let mut w = lock(&out);
-                        let _ = writeln!(w, "{}", reply.to_line(op.id()));
-                        let _ = w.flush();
-                        continue;
+            };
+            let id = op.id().to_owned();
+            if let Op::Shutdown { .. } = op {
+                answer(&id, dispatch(service, op));
+                // Stop reading; the scope joins the in-flight workers,
+                // which run to completion and answer.
+                break;
+            }
+            // Admission is decided here, in read order: every line read
+            // before a shutdown line runs even if quiescing begins
+            // before its worker is scheduled.
+            if service.is_shutting_down() {
+                answer(&id, Reply::error("shutting-down", "service is shutting down".to_owned()));
+                continue;
+            }
+            // Synthesize and resume ids are registered here as well,
+            // before the worker spawns, so a pipelined resume or cancel
+            // on a later line always finds its target. Cancel and
+            // list-checkpoints do no pipeline work and are answered
+            // inline: a listing is the store as of its own line, which
+            // no later line can change.
+            match op {
+                Op::Synthesize(req) => match service.register(&req.id, req.budget.clone(), None) {
+                    Ok(reg) => {
+                        let answer = &answer;
+                        scope.spawn(move || answer(&id, service.submit_registered(req, reg)));
                     }
-                    let out = &out;
-                    scope.spawn(move || {
-                        let id = op.id().to_owned();
-                        let reply = dispatch_admitted(service, op, true);
-                        let mut w = lock(out);
-                        let _ = writeln!(w, "{}", reply.to_line(&id));
-                        let _ = w.flush();
-                    });
-                }
+                    Err(reply) => answer(&id, reply),
+                },
+                Op::Resume {
+                    from,
+                    threads,
+                    budget,
+                    ..
+                } => match service.register(&id, budget, Some(&from)) {
+                    Ok(reg) => {
+                        let answer = &answer;
+                        scope.spawn(move || {
+                            answer(&id, service.resume_registered(&from, threads, reg))
+                        });
+                    }
+                    Err(reply) => answer(&id, reply),
+                },
+                op => answer(&id, dispatch(service, op)),
             }
         }
     });
@@ -1515,6 +1558,76 @@ mod tests {
             statuses.get("end").map(String::as_str),
             Some("shutting-down")
         );
+    }
+
+    /// Ids register in read order, not when their worker gets to run:
+    /// a resume pipelined behind a request whose problem is slow to
+    /// build must still wait for it instead of missing its checkpoint.
+    #[test]
+    fn pipelined_resume_waits_for_a_request_still_building_its_problem() {
+        let svc = Service::new().with_spec_parser(Box::new(|text: &str| {
+            // Holds r1 back so its worker starts after r2's. The
+            // verdicts asserted below hold whatever the timing.
+            std::thread::sleep(Duration::from_millis(300));
+            corpus::problem(text).ok_or_else(|| format!("unknown problem {text}"))
+        }));
+        let input = concat!(
+            r#"{"id":"r1","op":"synthesize","spec":"mutex2-failstop-masking","threads":1,"budget":{"max_states":40}}"#,
+            "\n",
+            r#"{"id":"r2","op":"resume","from":"r1","threads":1}"#,
+            "\n",
+            r#"{"id":"c1","op":"synthesize","spec":"mutex2-failstop-masking","threads":1}"#,
+            "\n",
+            r#"{"id":"c2","op":"cancel","target":"c1"}"#,
+            "\n",
+        );
+        let mut output = Vec::new();
+        serve(&svc, input.as_bytes(), &mut output).unwrap();
+        let text = String::from_utf8(output).unwrap();
+        let statuses: HashMap<String, String> = text
+            .lines()
+            .map(|line| {
+                let v = json::parse(line).unwrap();
+                let field = |k| v.get(k).and_then(Value::as_str).unwrap().to_owned();
+                (field("id"), field("status"))
+            })
+            .collect();
+        assert_eq!(statuses["r1"], "aborted", "{text}");
+        assert_eq!(statuses["r2"], "solved", "{text}");
+        // A cancel pipelined behind its target finds it registered.
+        assert_eq!(statuses["c2"], "cancelled", "{text}");
+        assert_eq!(statuses["c1"], "aborted", "{text}");
+    }
+
+    /// `list-checkpoints` answers in read order: a resume on a later
+    /// line cannot consume the checkpoint before the listing is taken.
+    #[test]
+    fn list_checkpoints_is_not_raced_by_a_later_resume() {
+        for _ in 0..10 {
+            let svc = Service::new();
+            let aborted = svc.submit(
+                Request::corpus("r1", "mutex2-failstop-masking", 1).with_budget(Budget {
+                    max_states: Some(12),
+                    ..Budget::unlimited()
+                }),
+            );
+            assert!(matches!(aborted, Reply::Aborted { resumable: true, .. }));
+            let input = concat!(
+                r#"{"id":"ls","op":"list-checkpoints"}"#,
+                "\n",
+                r#"{"id":"r2","op":"resume","from":"r1","threads":1}"#,
+                "\n",
+            );
+            let mut output = Vec::new();
+            serve(&svc, input.as_bytes(), &mut output).unwrap();
+            let text = String::from_utf8(output).unwrap();
+            let listing = text
+                .lines()
+                .find(|l| l.contains(r#""id":"ls""#))
+                .expect("the listing answers");
+            assert!(listing.contains(r#""id":"r1""#), "{text}");
+            assert!(text.contains(r#""id":"r2","status":"solved""#), "{text}");
+        }
     }
 
     #[test]
