@@ -186,7 +186,8 @@ fn main() -> ExitCode {
                     println!(
                         "phases: build {:.1?} ({} levels, peak frontier {}, {} threads, \
                      {} batches, {} steals, idle {:.1?}, \
-                     {} intern probes in {:.1?}, cache {}/{} hits), \
+                     {} intern probes in {:.1?}, cache {}/{} hits, \
+                     {} blocks candidates / {} minimal), \
                      delete {:.1?} ({} rounds, {} worklist pops, {} certs built, {} reused), \
                      unravel {:.1?}, minimize {:.1?} ({} merges of {} tried, \
                      {} full checks / {} carried rejections, \
@@ -205,6 +206,8 @@ fn main() -> ExitCode {
                         st.build_profile.intern_time,
                         st.build_profile.cache_hits,
                         st.build_profile.cache_hits + st.build_profile.cache_misses,
+                        st.build_profile.blocks_candidates,
+                        st.build_profile.blocks_minimal,
                         st.deletion_time,
                         st.deletion_profile.rounds,
                         st.deletion_profile.worklist_pops,

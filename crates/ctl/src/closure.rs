@@ -598,20 +598,6 @@ impl LabelSet {
         self.bits.iter().all(|&w| w == 0)
     }
 
-    /// A monotone 64-bit summary: `b.is_subset(a)` implies
-    /// `b.fingerprint() & !a.fingerprint() == 0`, so a failing
-    /// fingerprint test refutes subset-ness in one word op without
-    /// scanning the set. Each word is rotated by a word-dependent
-    /// amount before folding — rotation permutes bits (preserving the
-    /// per-word inclusion), while spreading different words across
-    /// different positions to delay saturation.
-    pub fn fingerprint(&self) -> u64 {
-        self.bits
-            .iter()
-            .enumerate()
-            .fold(0u64, |acc, (i, &w)| acc | w.rotate_left((i as u32 * 13) & 63))
-    }
-
     /// A deterministic 64-bit hash of the set (FxHash-style word fold).
     ///
     /// Unlike the `Hash` impl, this does not depend on a per-process

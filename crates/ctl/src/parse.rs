@@ -14,6 +14,10 @@
 //!         | '(' iff ')' | 'true' | 'false' | ident
 //! ```
 //!
+//! Nesting is bounded: a formula whose parse nests deeper than
+//! [`MAX_DEPTH`] levels is rejected with a [`ParseError`] instead of
+//! recursing until the stack overflows.
+//!
 //! Identifiers may contain letters, digits and `_`. The weak-until
 //! bracket form `A[g W h]` follows the paper's convention: `h` is the
 //! invariant, `g` the release (see [`FormulaArena`]).
@@ -22,6 +26,15 @@ use crate::arena::FormulaArena;
 use crate::ids::FormulaId;
 use crate::props::{Owner, PropTable};
 use std::fmt;
+
+/// The deepest nesting [`parse`] accepts, counted in grammar rules open
+/// at once: one per `&` operand (a lone atom counts), per prefix
+/// operand, per parenthesised or bracketed subformula, and per operand
+/// after the first of a `|` or `->` chain. So `((p))` is five levels,
+/// and a chain of n operands about n. Hand-written specifications stay
+/// far below it; it keeps a hostile input, such as 200,000 nested
+/// parentheses, from overflowing a thread's stack.
+pub const MAX_DEPTH: usize = 500;
 
 /// Error produced while parsing a formula.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -72,6 +85,7 @@ pub fn parse(
         arena,
         props,
         auto_register,
+        depth: 0,
     };
     let f = p.iff()?;
     p.skip_ws();
@@ -87,9 +101,25 @@ struct Parser<'a> {
     arena: &'a mut FormulaArena,
     props: &'a mut PropTable,
     auto_register: bool,
+    /// Grammar levels currently open (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser<'_> {
+    /// Runs `rule` one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        rule: fn(&mut Self) -> Result<FormulaId, ParseError>,
+    ) -> Result<FormulaId, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("formula nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let f = rule(self);
+        self.depth -= 1;
+        f
+    }
+
     fn err(&self, msg: impl Into<String>) -> ParseError {
         ParseError {
             at: self.pos,
@@ -139,7 +169,7 @@ impl Parser<'_> {
         let lhs = self.or_expr()?;
         // Look ahead for `->` without consuming `-` of something else.
         if self.eat("->") {
-            let rhs = self.imp()?;
+            let rhs = self.nested(Self::imp)?;
             return Ok(self.arena.implies(lhs, rhs));
         }
         Ok(lhs)
@@ -153,18 +183,18 @@ impl Parser<'_> {
         self.skip_ws();
         if self.peek() == Some(b'|') {
             self.pos += 1;
-            let rhs = self.or_expr()?;
+            let rhs = self.nested(Self::or_expr)?;
             return Ok(self.arena.or(lhs, rhs));
         }
         Ok(lhs)
     }
 
     fn and_expr(&mut self) -> Result<FormulaId, ParseError> {
-        let lhs = self.unary()?;
+        let lhs = self.nested(Self::unary)?;
         self.skip_ws();
         if self.peek() == Some(b'&') {
             self.pos += 1;
-            let rhs = self.and_expr()?;
+            let rhs = self.nested(Self::and_expr)?;
             return Ok(self.arena.and(lhs, rhs));
         }
         Ok(lhs)
@@ -190,12 +220,12 @@ impl Parser<'_> {
         match self.peek() {
             Some(b'~') | Some(b'!') => {
                 self.pos += 1;
-                let g = self.unary()?;
+                let g = self.nested(Self::unary)?;
                 Ok(self.arena.not(g))
             }
             Some(b'(') => {
                 self.pos += 1;
-                let g = self.iff()?;
+                let g = self.nested(Self::iff)?;
                 self.expect(")")?;
                 Ok(g)
             }
@@ -208,29 +238,29 @@ impl Parser<'_> {
                     "true" => Ok(self.arena.tru()),
                     "false" => Ok(self.arena.fls()),
                     "AF" => {
-                        let g = self.unary()?;
+                        let g = self.nested(Self::unary)?;
                         Ok(self.arena.af(g))
                     }
                     "EF" => {
-                        let g = self.unary()?;
+                        let g = self.nested(Self::unary)?;
                         Ok(self.arena.ef(g))
                     }
                     "AG" => {
-                        let g = self.unary()?;
+                        let g = self.nested(Self::unary)?;
                         Ok(self.arena.ag(g))
                     }
                     "EG" => {
-                        let g = self.unary()?;
+                        let g = self.nested(Self::unary)?;
                         Ok(self.arena.eg(g))
                     }
                     "A" | "E" if self.peek() == Some(b'[') => {
                         self.pos += 1;
-                        let g = self.iff()?;
+                        let g = self.nested(Self::iff)?;
                         self.skip_ws();
                         let Some(mode) = self.ident() else {
                             return Err(self.err("expected `U` or `W`"));
                         };
-                        let h = self.iff()?;
+                        let h = self.nested(Self::iff)?;
                         self.expect("]")?;
                         match (word.as_str(), mode.as_str()) {
                             ("A", "U") => Ok(self.arena.au(g, h)),
@@ -261,7 +291,7 @@ impl Parser<'_> {
                             return self.prop_by_name(&name);
                         };
                         debug_assert!(g_needed);
-                        let g = self.unary()?;
+                        let g = self.nested(Self::unary)?;
                         match (&word[..2], idx) {
                             ("AX", Some(i)) => Ok(self.arena.ax(i, g)),
                             ("EX", Some(i)) => Ok(self.arena.ex(i, g)),
@@ -330,6 +360,35 @@ mod tests {
     #[test]
     fn iff_desugars() {
         assert_eq!(roundtrip("p <-> q"), "(~p | q) & (~q | p)");
+    }
+
+    /// Hostile nesting is a structured error, not a stack overflow; and
+    /// nesting just inside the limit still parses on a default-sized
+    /// test thread stack.
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let try_parse = |input: &str| {
+            let mut props = PropTable::new();
+            let mut arena = FormulaArena::new(2);
+            parse(&mut arena, &mut props, input, true)
+        };
+        let n = 200_000;
+        let hostile = [
+            format!("{}p{}", "(".repeat(n), ")".repeat(n)),
+            format!("{}p", "~".repeat(n)),
+            format!("{}p", "AG ".repeat(n)),
+            vec!["p"; n].join(" & "),
+            vec!["p"; n].join(" -> "),
+            format!("{}p{}", "A[p U ".repeat(n), "]".repeat(n)),
+        ];
+        for input in &hostile {
+            let e = try_parse(input).expect_err("hostile nesting must be rejected");
+            assert!(e.message.contains("nested deeper than"), "{e}");
+        }
+        let half = MAX_DEPTH / 2 - 1;
+        assert!(try_parse(&format!("{}p{}", "(".repeat(half), ")".repeat(half))).is_ok());
+        assert!(try_parse(&format!("{}p", "AF ".repeat(MAX_DEPTH - 1))).is_ok());
+        assert!(try_parse(&vec!["p"; MAX_DEPTH - 1].join(" | ")).is_ok());
     }
 
     #[test]

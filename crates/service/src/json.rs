@@ -63,7 +63,11 @@ impl Value {
 /// A human-readable message with the byte offset of the problem.
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -73,9 +77,17 @@ pub fn parse(input: &str) -> Result<Value, String> {
     Ok(v)
 }
 
+/// The deepest array/object nesting [`parse`] accepts. Protocol lines
+/// nest two levels; the bound keeps a hostile line (say 200,000 `[`)
+/// from overflowing the reader's stack, which would take the whole
+/// daemon down with every in-flight request.
+pub const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -107,8 +119,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -120,6 +132,20 @@ impl Parser<'_> {
             )),
             None => Err("unexpected end of input".to_owned()),
         }
+    }
+
+    /// Runs `rule` one array/object deeper, failing past [`MAX_DEPTH`].
+    fn nested(&mut self, rule: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = rule(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, text: &str, v: Value) -> Result<Value, String> {
@@ -380,6 +406,17 @@ mod tests {
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("{\"a\":01x}").is_err());
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        let e = parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.contains("nesting deeper than"), "{e}");
+        let e = parse(&"{\"a\":".repeat(200_000)).unwrap_err();
+        assert!(e.contains("nesting deeper than"), "{e}");
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

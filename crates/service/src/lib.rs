@@ -1560,6 +1560,40 @@ mod tests {
         );
     }
 
+    /// A line nested past the JSON depth limit gets a coded
+    /// `bad-request` reply instead of overflowing the reader's stack,
+    /// and the daemon goes on to answer the next line.
+    #[test]
+    fn deeply_nested_request_line_is_a_bad_request_and_serving_continues() {
+        let svc = Service::new();
+        let input = format!(
+            "{}\n{}\n",
+            "[".repeat(200_000),
+            r#"{"id":"after","op":"synthesize","problem":"mutex2-failstop-masking","threads":1}"#
+        );
+        let mut output = Vec::new();
+        serve(&svc, input.as_bytes(), &mut output).unwrap();
+        let text = String::from_utf8(output).unwrap();
+        let replies: Vec<Value> = text.lines().map(|l| json::parse(l).unwrap()).collect();
+        assert_eq!(replies.len(), 2, "{text}");
+        let field = |v: &Value, k| v.get(k).and_then(Value::as_str).map(str::to_owned);
+        let nested = &replies[0];
+        assert_eq!(
+            field(nested, "code").as_deref(),
+            Some("bad-request"),
+            "{text}"
+        );
+        assert!(field(nested, "message")
+            .unwrap()
+            .contains("nesting deeper than"));
+        assert_eq!(field(&replies[1], "id").as_deref(), Some("after"));
+        assert_eq!(
+            field(&replies[1], "status").as_deref(),
+            Some("solved"),
+            "{text}"
+        );
+    }
+
     /// Ids register in read order, not when their worker gets to run:
     /// a resume pipelined behind a request whose problem is slow to
     /// build must still wait for it instead of missing its checkpoint.

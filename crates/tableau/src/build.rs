@@ -39,7 +39,7 @@
 
 use crate::cache::{CacheFill, ExpansionCache};
 use crate::checkpoint::{spec_fingerprint, Checkpoint, PendingBatch};
-use crate::expand::{blocks, tiles, Tile};
+use crate::expand::{blocks_counted, tiles, Tile};
 use crate::governor::{AbortReason, Governor};
 use crate::graph::{EdgeKind, NodeId, NodeKind, Tableau};
 use ftsyn_ctl::{Closure, EntryKind, LabelSet, PropTable};
@@ -228,6 +228,15 @@ pub struct BuildProfile {
     pub cache_hits: usize,
     /// `Blocks`/`Tiles` memo-cache misses during this build.
     pub cache_misses: usize,
+    /// Candidate AND labels the `Blocks` minimal filter examined, summed
+    /// over the `Blocks` calls this build computed (cache hits compute
+    /// none). Identical at every thread count; like the timings, not
+    /// carried through a checkpoint, so a resumed build counts only the
+    /// calls it ran.
+    pub blocks_candidates: usize,
+    /// ⊆-minimal AND labels those `Blocks` calls kept (same scope as
+    /// [`BuildProfile::blocks_candidates`]).
+    pub blocks_minimal: usize,
 }
 
 /// One successor to materialize for a frontier node — the output of the
@@ -252,6 +261,26 @@ enum Step {
         hash: u64,
     },
 }
+
+/// The `Blocks` work of one expansion task: the filter's candidates and
+/// the minimal labels it kept. Zero for AND nodes, dummy OR nodes and
+/// cache hits.
+#[derive(Clone, Copy, Default)]
+struct BlocksWork {
+    candidates: usize,
+    minimal: usize,
+}
+
+impl BlocksWork {
+    fn add_to(self, profile: &mut BuildProfile) {
+        profile.blocks_candidates += self.candidates;
+        profile.blocks_minimal += self.minimal;
+    }
+}
+
+/// The output of [`expand_task`]: the successor steps, the deferred
+/// cache fill (if the lookup missed) and the `Blocks` work done.
+type Expanded = (Vec<Step>, Option<CacheFill>, BlocksWork);
 
 /// Which expansion kernels a build uses.
 #[derive(Clone, Copy)]
@@ -292,18 +321,23 @@ fn expand_task(
     view: NodeView<'_>,
     cache: Option<&ExpansionCache>,
     kernel: Kernel,
-) -> (Vec<Step>, Option<CacheFill>) {
+) -> Expanded {
     let label = view.label;
     match view.kind {
         NodeKind::Or => {
             if view.dummy {
-                return (Vec::new(), None); // successors pinned at creation
+                return (Vec::new(), None, BlocksWork::default()); // successors pinned at creation
             }
             let mut fill = None;
+            let mut work = BlocksWork::default();
             let bs = match cache.and_then(|c| c.lookup_blocks(label)) {
                 Some(cached) => cached.clone(),
                 None => {
-                    let computed = run_blocks(closure, label, kernel);
+                    let (computed, candidates) = run_blocks(closure, label, kernel);
+                    work = BlocksWork {
+                        candidates,
+                        minimal: computed.len(),
+                    };
                     if cache.is_some() {
                         fill = Some(CacheFill::Blocks(label.clone(), computed.clone()));
                     }
@@ -317,7 +351,7 @@ fn expand_task(
                     Step::And { label, hash }
                 })
                 .collect();
-            (steps, fill)
+            (steps, fill, work)
         }
         NodeKind::And => {
             let mut steps = Vec::new();
@@ -363,7 +397,7 @@ fn expand_task(
                     });
                 }
             }
-            (steps, fill)
+            (steps, fill, BlocksWork::default())
         }
     }
 }
@@ -379,7 +413,7 @@ fn expand_node(
     id: NodeId,
     cache: Option<&ExpansionCache>,
     kernel: Kernel,
-) -> (Vec<Step>, Option<CacheFill>) {
+) -> Expanded {
     let n = t.node(id);
     let view = NodeView {
         kind: n.kind,
@@ -389,12 +423,14 @@ fn expand_node(
     expand_task(closure, props, faults, view, cache, kernel)
 }
 
-fn run_blocks(closure: &Closure, label: &LabelSet, kernel: Kernel) -> Vec<LabelSet> {
+/// Runs `Blocks` with the kernel's filter; returns the minimal labels
+/// and the number of candidates the filter examined.
+fn run_blocks(closure: &Closure, label: &LabelSet, kernel: Kernel) -> (Vec<LabelSet>, usize) {
     match kernel {
-        Kernel::Fast => blocks(closure, label),
+        Kernel::Fast => blocks_counted(closure, label),
         Kernel::Classic => crate::expand::blocks_classic(closure, label),
         #[cfg(any(test, feature = "slow-reference"))]
-        Kernel::Reference => crate::expand_naive::blocks_naive(closure, label),
+        Kernel::Reference => crate::expand_naive::blocks_naive_counted(closure, label),
     }
 }
 
@@ -656,7 +692,7 @@ enum Planned {
 /// One level's pure-expansion output — per frontier node its [`Step`]s
 /// plus an optional deferred cache fill — or the first panicking
 /// worker's message.
-type LevelExpansions = Result<Vec<(Vec<Step>, Option<CacheFill>)>, String>;
+type LevelExpansions = Result<Vec<Expanded>, String>;
 
 /// The retained level-synchronized engine (kept byte-for-byte as the
 /// previous generation; see [`build_level_sync`]).
@@ -760,7 +796,8 @@ fn build_level_core(
         // (B) draw the edges and collect the next frontier.
         let t0 = Instant::now();
         let mut planned: Vec<(NodeId, Vec<Planned>)> = Vec::with_capacity(frontier.len());
-        for (&id, (steps, fill)) in frontier.iter().zip(expansions) {
+        for (&id, (steps, fill, work)) in frontier.iter().zip(expansions) {
+            work.add_to(&mut profile);
             if let (Some(c), Some(fill)) = (cache.as_deref_mut(), fill) {
                 c.apply_fill(fill);
             }
@@ -873,7 +910,7 @@ struct Batch {
     tasks: Vec<Task>,
 }
 
-type BatchOutput = Vec<(Vec<Step>, Option<CacheFill>)>;
+type BatchOutput = Vec<Expanded>;
 
 /// Scheduler state shared between the committer (main thread) and the
 /// expansion workers.
@@ -1057,7 +1094,8 @@ fn commit_batch(
 
     let t0 = Instant::now();
     let mut planned: Vec<(NodeId, Vec<Planned>)> = Vec::with_capacity(batch.tasks.len());
-    for (task, (steps, fill)) in batch.tasks.iter().zip(output) {
+    for (task, (steps, fill, work)) in batch.tasks.iter().zip(output) {
+        work.add_to(profile);
         // Per-task cache accounting: tasks are never dummy, so with a
         // cache present each task performed exactly one lookup, and a
         // deferred fill exists iff that lookup missed. Counting here
@@ -1627,6 +1665,9 @@ mod tests {
                 };
                 let (seq, seq_prof) = build_with_threads(&cl, &props, root.clone(), &faults, 1);
                 assert_eq!(seq_prof.parallel_levels, 0);
+                assert!(seq_prof.blocks_minimal > 0);
+                assert!(seq_prof.blocks_candidates >= seq_prof.blocks_minimal);
+                let blocks_work = |p: &BuildProfile| (p.blocks_candidates, p.blocks_minimal);
                 for threads in [2, 4, 8] {
                     let (par, prof) =
                         build_with_threads(&cl, &props, root.clone(), &faults, threads);
@@ -1637,6 +1678,7 @@ mod tests {
                     // a frontier, so compare against the sequential
                     // profile, not the node count.
                     assert_eq!(prof.nodes_expanded, seq_prof.nodes_expanded);
+                    assert_eq!(blocks_work(&prof), blocks_work(&seq_prof));
                 }
                 for threads in [1, 2, 4, 8] {
                     let (level, level_prof) =
@@ -1644,6 +1686,7 @@ mod tests {
                     assert_same_tableau(spec, &seq, &level);
                     assert_eq!(level_prof.levels, seq_prof.levels);
                     assert_eq!(level_prof.nodes_expanded, seq_prof.nodes_expanded);
+                    assert_eq!(blocks_work(&level_prof), blocks_work(&seq_prof));
                     // The level-synchronized engine schedules whole
                     // levels, not batches.
                     assert_eq!(level_prof.batches, 0);
@@ -1683,10 +1726,12 @@ mod tests {
         for spec in ["p & AG(EX1 true & EX2 true)", "AG(EX1 true) & AF p & EF q"] {
             let (_, props, cl, root) = simple_setup(spec, 2);
             let faults = flip_p_faults(&props, &cl);
-            let (fast, _) = build_with_threads(&cl, &props, root.clone(), &faults, 1);
+            let (fast, fast_prof) = build_with_threads(&cl, &props, root.clone(), &faults, 1);
             for threads in [1, 4] {
-                let (oracle, _) = build_reference(&cl, &props, root.clone(), &faults, threads);
+                let (oracle, prof) = build_reference(&cl, &props, root.clone(), &faults, threads);
                 assert_same_tableau(spec, &fast, &oracle);
+                assert_eq!(prof.blocks_candidates, fast_prof.blocks_candidates);
+                assert_eq!(prof.blocks_minimal, fast_prof.blocks_minimal);
             }
         }
     }

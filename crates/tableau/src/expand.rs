@@ -2,6 +2,7 @@
 //! (Section 4 of the paper).
 
 use ftsyn_ctl::{Closure, ClosureIdx, EntryKind, Expansion, LabelSet, Owner, PropTable};
+use std::cell::RefCell;
 use std::collections::HashSet;
 
 /// Computes `Blocks(d)` for an OR-node label: the set of downward-closed,
@@ -20,6 +21,13 @@ use std::collections::HashSet;
 /// process `i`, each adding `EXᵢ true` — otherwise the `AX` obligations
 /// would be vacuous for lack of successors.
 pub fn blocks(closure: &Closure, label: &LabelSet) -> Vec<LabelSet> {
+    blocks_counted(closure, label).0
+}
+
+/// [`blocks`], also returning the number of candidate labels the
+/// minimal filter examined (deduplicated, after the `AX`-without-`EX`
+/// split) — the build's `blocks_candidates` work counter.
+pub(crate) fn blocks_counted(closure: &Closure, label: &LabelSet) -> (Vec<LabelSet>, usize) {
     blocks_with(closure, label, FilterKind::Accepted)
 }
 
@@ -28,7 +36,7 @@ pub fn blocks(closure: &Closure, label: &LabelSet) -> Vec<LabelSet> {
 /// engine head-to-heads compare frozen generations (same policy as
 /// [`crate::expand_naive`] for `build_reference`). The output is
 /// identical to [`blocks`]; only the filter's comparison count differs.
-pub(crate) fn blocks_classic(closure: &Closure, label: &LabelSet) -> Vec<LabelSet> {
+pub(crate) fn blocks_classic(closure: &Closure, label: &LabelSet) -> (Vec<LabelSet>, usize) {
     blocks_with(closure, label, FilterKind::Classic)
 }
 
@@ -45,7 +53,7 @@ enum FilterKind {
     Accepted,
 }
 
-fn blocks_with(closure: &Closure, label: &LabelSet, filter: FilterKind) -> Vec<LabelSet> {
+fn blocks_with(closure: &Closure, label: &LabelSet, filter: FilterKind) -> (Vec<LabelSet>, usize) {
     let mut done: Vec<LabelSet> = Vec::new();
     let mut done_set: HashSet<LabelSet> = HashSet::new();
     // Branch = (accumulated label, unexpanded α/elementary, unexpanded β).
@@ -214,21 +222,16 @@ fn blocks_with(closure: &Closure, label: &LabelSet, filter: FilterKind) -> Vec<L
     //   exactly what fault-successor-heavy OR labels produce (many
     //   distinct size classes of partially-determined branches).
     //
-    // * `Accepted` processes labels in ascending size order and
-    //   compares each only against the strictly-smaller labels *already
-    //   accepted as minimal*. Equivalent predicate: if any smaller
-    //   label `b ⊆ a` exists, take a minimum-size such `b*` — nothing
-    //   strictly smaller is a subset of `b*` (it would also be a
-    //   smaller subset of `a`), so `b*` itself is accepted, and the
-    //   accepted-only scan finds it. Equal-size labels never shadow
-    //   each other (strict subsets are strictly smaller), so the
-    //   unstable sort's tie order is irrelevant. The minimal set is
-    //   typically ~10x smaller than the candidate set, which turns the
-    //   dominant cost of `Blocks` on fault-heavy problems into noise.
+    // * `Accepted` compares each label only against the strictly
+    //   smaller labels already accepted as minimal, and only on the
+    //   positions where the candidates differ (see [`accepted_minimal`]).
+    //   The minimal set is typically ~10x smaller than the candidate
+    //   set, and the projection makes each probe one or two words.
+    let candidates = out.len();
     let sizes: Vec<usize> = out.iter().map(LabelSet::len).collect();
     let mut by_size: Vec<usize> = (0..out.len()).collect();
     by_size.sort_unstable_by_key(|&i| sizes[i]);
-    match filter {
+    let minimal = match filter {
         FilterKind::Classic => out
             .iter()
             .enumerate()
@@ -240,34 +243,124 @@ fn blocks_with(closure: &Closure, label: &LabelSet, filter: FilterKind) -> Vec<L
             })
             .map(|(_, a)| a.clone())
             .collect(),
-        FilterKind::Accepted => {
-            let mut keep = vec![false; out.len()];
-            // Monotone one-word summaries: a failing fingerprint test
-            // refutes `out[j] ⊆ out[i]` without touching the words, and
-            // a passing one changes nothing — the kept set is identical.
-            let fps: Vec<u64> = out.iter().map(LabelSet::fingerprint).collect();
-            // Indices of accepted minimal labels, in ascending size
-            // order (the processing order).
-            let mut accepted: Vec<usize> = Vec::new();
-            for &i in &by_size {
-                let shadowed = accepted
-                    .iter()
-                    .take_while(|&&j| sizes[j] < sizes[i])
-                    .any(|&j| fps[j] & !fps[i] == 0 && out[j].is_subset(&out[i]));
-                if !shadowed {
-                    keep[i] = true;
-                    accepted.push(i);
-                }
-            }
+        FilterKind::Accepted => PROJECTION.with(|scratch| {
+            let keep = accepted_minimal(&out, &sizes, &by_size, &mut scratch.borrow_mut());
             // Emit in the original candidate order, exactly like the
             // classic filter.
-            out.iter()
-                .enumerate()
-                .filter(|&(i, _)| keep[i])
-                .map(|(_, a)| a.clone())
+            out.into_iter()
+                .zip(keep)
+                .filter_map(|(a, kept)| kept.then_some(a))
                 .collect()
+        }),
+    };
+    (minimal, candidates)
+}
+
+/// Reusable buffers of [`accepted_minimal`], one set per thread, so the
+/// many `Blocks` calls with a handful of candidates allocate nothing
+/// for the projection.
+#[derive(Default)]
+struct Projection {
+    /// Per label word: the varying positions (in the union of the
+    /// candidates, not in their intersection).
+    masks: Vec<u64>,
+    /// Per label word: projected bit index of the word's first varying
+    /// position.
+    bases: Vec<usize>,
+    /// Projected candidates, `stride` words each, in candidate order.
+    rows: Vec<u64>,
+    /// Projected accepted minimal labels, in acceptance order.
+    accepted: Vec<u64>,
+}
+
+thread_local! {
+    static PROJECTION: RefCell<Projection> = RefCell::default();
+}
+
+/// The `Accepted` minimal filter over the candidates projected onto
+/// their varying positions. Returns, per candidate, whether it is
+/// ⊆-minimal among `out`.
+///
+/// Every candidate contains the intersection `I` of all candidates and
+/// lies inside their union `U`, so each agrees with every other outside
+/// `V = U \ I`; hence `b ⊆ a` exactly when `b ∩ V ⊆ a ∩ V`. Comparing
+/// the projections onto `V` (typically one or two words, against the
+/// full closure width) decides the same predicate, so the kept set is
+/// unchanged.
+///
+/// Labels are processed in ascending size order and compared only
+/// against the strictly smaller labels *already accepted as minimal*:
+/// if any smaller `b ⊆ a` exists, a minimum-size such `b*` has no
+/// smaller subset (it would also be a smaller subset of `a`), so `b*`
+/// itself was accepted and the scan finds it. Equal-size labels never
+/// shadow each other (strict subsets are strictly smaller), so the
+/// unstable sort's tie order is irrelevant, and the accepted labels of
+/// the current size class are left out of the scan.
+fn accepted_minimal(
+    out: &[LabelSet],
+    sizes: &[usize],
+    by_size: &[usize],
+    scratch: &mut Projection,
+) -> Vec<bool> {
+    if out.len() < 2 {
+        return vec![true; out.len()];
+    }
+    let Projection {
+        masks,
+        bases,
+        rows,
+        accepted,
+    } = scratch;
+    // A position varies iff some candidate differs there from the first.
+    let first = out[0].words();
+    masks.clear();
+    masks.resize(first.len(), 0);
+    for a in &out[1..] {
+        for ((m, &w), &f) in masks.iter_mut().zip(a.words()).zip(first) {
+            *m |= w ^ f;
         }
     }
+    bases.clear();
+    let mut k = 0;
+    for m in masks.iter() {
+        bases.push(k);
+        k += m.count_ones() as usize;
+    }
+    let stride = k.div_ceil(64).max(1);
+    rows.clear();
+    rows.resize(out.len() * stride, 0);
+    for (a, row) in out.iter().zip(rows.chunks_exact_mut(stride)) {
+        for ((&w, &m), &base) in a.words().iter().zip(masks.iter()).zip(bases.iter()) {
+            let mut bits = w & m;
+            while bits != 0 {
+                let below = m & ((1u64 << bits.trailing_zeros()) - 1);
+                let t = base + below.count_ones() as usize;
+                row[t / 64] |= 1 << (t % 64);
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    let mut keep = vec![false; out.len()];
+    accepted.clear();
+    // Accepted rows strictly smaller than the current size class.
+    let mut smaller = 0;
+    let mut class_size = 0;
+    for &i in by_size {
+        if sizes[i] != class_size {
+            class_size = sizes[i];
+            smaller = accepted.len();
+        }
+        let a = &rows[i * stride..(i + 1) * stride];
+        let shadowed = accepted[..smaller]
+            .chunks_exact(stride)
+            .any(|b| b.iter().zip(a).all(|(&b, &a)| b & !a == 0));
+        if !shadowed {
+            keep[i] = true;
+            accepted.extend_from_slice(a);
+        }
+    }
+    keep
 }
 
 /// One `Tiles` successor requirement of an AND-node.
@@ -468,21 +561,75 @@ mod tests {
         }
     }
 
-    /// The accepted-only minimal filter and the classic all-smaller
-    /// scan produce identical output — contents *and* order.
+    /// A conjunction of the propositions `x{from}` .. `x{to - 1}`.
+    fn conj(from: usize, to: usize) -> String {
+        let lits: Vec<String> = (from..to).map(|i| format!("x{i}")).collect();
+        format!("({})", lits.join(" & "))
+    }
+
+    /// Closure positions on which `labels` do not all agree.
+    fn varying_positions(labels: &[LabelSet]) -> usize {
+        let words = labels[0].words().len();
+        (0..words)
+            .map(|w| {
+                let union = labels.iter().fold(0, |u, l| u | l.words()[w]);
+                let common = labels.iter().fold(!0, |c, l| c & l.words()[w]);
+                (union & !common).count_ones() as usize
+            })
+            .sum()
+    }
+
+    /// The projected accepted-only minimal filter, the classic
+    /// all-smaller scan and the naive oracle produce identical output —
+    /// contents *and* order — including on labels whose candidates
+    /// differ in more than 64 and more than 128 closure positions
+    /// (projected rows of two and three words), with duplicate leaves
+    /// (`(p | q) & (p | r) & (q | r)` reaches `{q, r}` twice) and
+    /// `AX`-without-`EX` splits.
     #[test]
     fn accepted_filter_matches_classic_filter() {
-        for spec in [
-            "AF p | AF q",
-            "AG(p | q) & AF r",
-            "(p | q) & (~p | r) & AF q",
-            "AG(EX1 true & EX2 true) & (p | ~q) & AF(q | r)",
-        ] {
+        let dup = "(p | q) & (p | r) & (q | r)";
+        // `(A | B) & (A | C)` reaches `A ∪ B ⊋ A`, so the filter drops
+        // supersets whose extra members lie in the high words.
+        let two_words = format!(
+            "({a} | {b}) & ({a} | {c}) & {dup}",
+            a = conj(0, 25),
+            b = conj(25, 50),
+            c = conj(50, 60)
+        );
+        let three_words = format!(
+            "({a} | {b}) & ({a} | {c}) & AX1 p & (EX1 true | q) & {dup}",
+            a = conj(0, 40),
+            b = conj(40, 80),
+            c = conj(80, 120)
+        );
+        let cases: [(&str, usize); 6] = [
+            ("AF p | AF q", 0),
+            ("AG(p | q) & AF r", 0),
+            ("(p | q) & (~p | r) & AF q", 0),
+            ("AG(EX1 true & EX2 true) & (p | ~q) & AF(q | r)", 0),
+            (&two_words, 64),
+            (&three_words, 128),
+        ];
+        for (spec, min_varying) in cases {
             let (_props, cl, labels) = setup(&[spec], 2);
+            let (fast, candidates) = blocks_counted(&cl, &labels[0]);
+            let (classic, classic_candidates) = blocks_classic(&cl, &labels[0]);
+            assert_eq!(fast, classic, "{spec}");
+            assert_eq!(candidates, classic_candidates, "{spec}");
             assert_eq!(
-                blocks(&cl, &labels[0]),
-                blocks_classic(&cl, &labels[0]),
+                fast,
+                crate::expand_naive::blocks_naive(&cl, &labels[0]),
                 "{spec}"
+            );
+            assert!(
+                fast.len() < candidates || min_varying == 0,
+                "{spec}: nothing filtered"
+            );
+            assert!(
+                varying_positions(&fast) > min_varying,
+                "{spec}: the minimal labels vary in only {} positions",
+                varying_positions(&fast)
             );
         }
     }

@@ -36,6 +36,12 @@ pub fn naive_is_prop_consistent(closure: &Closure, label: &LabelSet) -> bool {
 /// Pre-optimization `Blocks(d)` (see [`crate::expand::blocks`] for the
 /// algorithm documentation; the two must stay output-identical).
 pub fn blocks_naive(closure: &Closure, label: &LabelSet) -> Vec<LabelSet> {
+    blocks_naive_counted(closure, label).0
+}
+
+/// [`blocks_naive`], also returning the number of candidate labels its
+/// minimal filter examined.
+pub(crate) fn blocks_naive_counted(closure: &Closure, label: &LabelSet) -> (Vec<LabelSet>, usize) {
     let mut done: Vec<LabelSet> = Vec::new();
     let mut done_set: HashSet<LabelSet> = HashSet::new();
     let mut betas: Vec<ClosureIdx> = Vec::new();
@@ -172,7 +178,7 @@ pub fn blocks_naive(closure: &Closure, label: &LabelSet) -> Vec<LabelSet> {
         .filter(|a| !out.iter().any(|b| *b != **a && b.is_subset(a)))
         .cloned()
         .collect();
-    minimal
+    (minimal, out.len())
 }
 
 /// Pre-optimization `Tiles(c)` with the original O(n²) `Vec::contains`
