@@ -6,35 +6,24 @@
 //! The JSON is hand-rolled (no serde — the offline build has no
 //! external dependencies) and contains, per problem, the size and
 //! per-phase timing statistics of one synthesis run plus the worklist,
-//! scheduler, and minimization counters, and, for the largest
-//! fault-prone instances, head-to-head timings of the worklist deletion
-//! engine against the sweep-based reference, of the optimized build
-//! kernel (cold and warm through the `Blocks`/`Tiles` memo cache)
-//! against the pre-optimization reference kernel, of the
-//! work-stealing expansion scheduler against the retained
-//! level-synchronized engine at 8 worker threads, and of the
-//! incremental semantic minimizer against the preserved per-attempt
-//! greedy reference engine, and of the full tableau pipeline against
-//! the CEGIS bounded-synthesis backend end to end — plus daemon
-//! throughput (requests/sec) with a cold expansion cache against a
-//! warmed shared one through `ftsyn-service`.
+//! scheduler, and minimization counters; head-to-head timings of the
+//! full tableau pipeline against the CEGIS bounded-synthesis backend
+//! end to end; and daemon throughput (requests/sec) with a cold
+//! expansion cache against a warmed shared one through
+//! `ftsyn-service`. The oracles (naive build kernels, sweep deletion,
+//! greedy reference minimizer) are not compiled in: their identity
+//! with the production engines is asserted by the `slow-reference`
+//! test suites, not re-timed here.
 //!
 //! ```text
 //! cargo run --release -p ftsyn-bench --bin bench_json
 //! ```
 
-use ftsyn::ctl::Closure;
 use ftsyn::guarded::interp::explore;
 use ftsyn::guarded::sim::{simulate, SimConfig};
 use ftsyn::problems::{barrier, handshake, mutex, readers_writers, wire};
-use ftsyn::tableau::{
-    apply_deletion_rules_mode, apply_deletion_rules_naive_mode, build, build_level_sync,
-    build_reference, build_with_cache, build_with_threads, CertMode, ExpansionCache, FaultSpec,
-    Tableau,
-};
 use ftsyn::{
-    semantic_minimize_reference, semantic_minimize_with_threads, synthesize,
-    synthesize_with_engine, unravel_mode, Budget, Engine, Governor, SynthesisOutcome,
+    synthesize, synthesize_with_engine, Budget, Engine, Governor, SynthesisOutcome,
     SynthesisProblem, SynthesisStats, ThreadPlan, Tolerance, Verification,
 };
 use std::fmt::Write as _;
@@ -153,7 +142,6 @@ fn stats_json(stats: &SynthesisStats, solved: bool) -> String {
             "build_profile",
             &Obj::default()
                 .num("levels", bp.levels)
-                .num("parallel_levels", bp.parallel_levels)
                 .num("max_frontier", bp.max_frontier)
                 .num("threads", bp.threads)
                 .num("batches", bp.batches)
@@ -300,64 +288,6 @@ fn run_budgeted(name: &str, procs: usize, mut problem: SynthesisProblem, budget:
     obj.build()
 }
 
-/// Builds the closure and tableau `T₀` of a problem (the input of the
-/// deletion phase), exactly as the pipeline does.
-fn tableau_of(problem: &mut SynthesisProblem) -> (Closure, Tableau) {
-    let roots = problem.closure_roots();
-    let spec = roots[0];
-    let closure = Closure::build(&mut problem.arena, &problem.props, &roots);
-    let tolerance_labels = problem.tolerance_label_sets(&closure);
-    let fault_spec = FaultSpec {
-        actions: problem.faults.clone(),
-        tolerance_labels,
-    };
-    let mut root = closure.empty_label();
-    root.insert(closure.index_of(spec).expect("spec is a closure root"));
-    let t = build(&closure, &problem.props, root, &fault_spec);
-    (closure, t)
-}
-
-/// Times `f` over `runs` runs on clones of `t0` and returns the best
-/// wall-clock duration (best-of-n suppresses scheduler noise).
-fn time_engine(t0: &Tableau, runs: usize, mut f: impl FnMut(&mut Tableau)) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..runs {
-        let mut t = t0.clone();
-        let tick = Instant::now();
-        f(&mut t);
-        best = best.min(tick.elapsed());
-    }
-    best
-}
-
-/// Head-to-head deletion-engine timing on one problem: worklist vs the
-/// sweep-based reference, identical inputs, best of `runs`.
-fn compare_engines(name: &str, procs: usize, mut problem: SynthesisProblem, runs: usize) -> String {
-    eprintln!("comparing deletion engines on {name} ...");
-    let (closure, t0) = tableau_of(&mut problem);
-    let worklist = time_engine(&t0, runs, |t| {
-        apply_deletion_rules_mode(t, &closure, CertMode::FaultFree);
-    });
-    let naive = time_engine(&t0, runs, |t| {
-        apply_deletion_rules_naive_mode(t, &closure, CertMode::FaultFree);
-    });
-    let speedup = naive.as_secs_f64() / worklist.as_secs_f64();
-    eprintln!(
-        "  {name}: worklist {worklist:.2?}, naive {naive:.2?}, speedup {speedup:.2}x \
-         ({} nodes)",
-        t0.len()
-    );
-    Obj::default()
-        .str("name", name)
-        .num("procs", procs)
-        .num("tableau_nodes", t0.len())
-        .num("runs", runs)
-        .ns("worklist_ns", worklist)
-        .ns("naive_ns", naive)
-        .float("speedup", speedup)
-        .build()
-}
-
 /// Backend head-to-head: the full tableau pipeline against the CEGIS
 /// bounded-synthesis engine on the same problem, end to end (problem
 /// to verified program), best of `runs`. Outcome agreement is asserted
@@ -437,250 +367,6 @@ fn compare_backends(
             &solved_at_bound.map_or("null".to_owned(), |b| b.to_string()),
         )
         .float("speedup", speedup)
-        .build()
-}
-
-/// Times `build_once` over `runs` runs and returns the last tableau
-/// plus the best wall-clock duration.
-fn time_build(runs: usize, mut build_once: impl FnMut() -> Tableau) -> (Tableau, Duration) {
-    let mut best = Duration::MAX;
-    let mut out = None;
-    for _ in 0..runs {
-        let tick = Instant::now();
-        let t = build_once();
-        best = best.min(tick.elapsed());
-        out = Some(t);
-    }
-    (out.expect("runs >= 1"), best)
-}
-
-/// Panics unless the two tableaux are bit-identical: same node count
-/// and, per node, same label, kind and successor list (edge order
-/// included — downstream unraveling and program extraction are
-/// deterministic functions of exactly this data, so equality here means
-/// the synthesized programs agree too).
-fn assert_identical(name: &str, what: &str, a: &Tableau, b: &Tableau) {
-    assert_eq!(a.len(), b.len(), "{name}: {what} node count diverged");
-    for id in a.node_ids() {
-        assert_eq!(
-            a.node(id).label,
-            b.node(id).label,
-            "{name}: {what} label diverged at {id:?}"
-        );
-        assert_eq!(a.node(id).kind, b.node(id).kind, "{name}: {what} {id:?}");
-        assert_eq!(a.node(id).succ, b.node(id).succ, "{name}: {what} {id:?}");
-        assert_eq!(
-            a.alive(id),
-            b.alive(id),
-            "{name}: {what} alive flag diverged at {id:?}"
-        );
-    }
-}
-
-/// Head-to-head build-kernel timing on one problem: the optimized
-/// expansion kernel — cold, and warm through a `Blocks`/`Tiles` memo
-/// cache primed by a previous build — against the pre-optimization
-/// reference kernel, identical inputs, single-threaded (so the ratio
-/// measures the kernels, not parallelism), best of `runs`. The tableaux
-/// must agree bit-for-bit, before and after the deletion phase.
-fn compare_build(name: &str, procs: usize, mut problem: SynthesisProblem, runs: usize) -> String {
-    eprintln!("comparing build kernels on {name} ...");
-    let roots = problem.closure_roots();
-    let spec = roots[0];
-    let closure = Closure::build(&mut problem.arena, &problem.props, &roots);
-    let fault_spec = FaultSpec {
-        actions: problem.faults.clone(),
-        tolerance_labels: problem.tolerance_label_sets(&closure),
-    };
-    let mut root = closure.empty_label();
-    root.insert(closure.index_of(spec).expect("spec is a closure root"));
-
-    let (t_ref, reference) = time_build(runs, || {
-        build_reference(&closure, &problem.props, root.clone(), &fault_spec, 1).0
-    });
-    let (t_fast, fast) = time_build(runs, || {
-        build_with_threads(&closure, &problem.props, root.clone(), &fault_spec, 1).0
-    });
-    let mut cache = ExpansionCache::new();
-    build_with_cache(&closure, &problem.props, root.clone(), &fault_spec, 1, &mut cache);
-    let (t_warm, warm) = time_build(runs, || {
-        build_with_cache(&closure, &problem.props, root.clone(), &fault_spec, 1, &mut cache).0
-    });
-    let (_, warm_prof) =
-        build_with_cache(&closure, &problem.props, root.clone(), &fault_spec, 1, &mut cache);
-
-    assert_identical(name, "fast-vs-reference", &t_fast, &t_ref);
-    assert_identical(name, "warm-vs-reference", &t_warm, &t_ref);
-
-    // Run the deletion phase on both and require identical alive sets:
-    // unraveling and extraction are deterministic in the alive tableau,
-    // so this pins the synthesized program as well.
-    let (mut da, mut db) = (t_fast.clone(), t_ref.clone());
-    apply_deletion_rules_mode(&mut da, &closure, CertMode::FaultFree);
-    apply_deletion_rules_mode(&mut db, &closure, CertMode::FaultFree);
-    assert_identical(name, "post-deletion", &da, &db);
-    let (alive_and, alive_or) = da.alive_counts();
-
-    let speedup = reference.as_secs_f64() / fast.as_secs_f64();
-    let warm_speedup = reference.as_secs_f64() / warm.as_secs_f64();
-    eprintln!(
-        "  {name}: reference {reference:.2?}, fast {fast:.2?} ({speedup:.2}x), \
-         warm-cache {warm:.2?} ({warm_speedup:.2}x, {} hits) ({} nodes)",
-        warm_prof.cache_hits,
-        t_ref.len()
-    );
-    Obj::default()
-        .str("kind", "kernel")
-        .str("name", name)
-        .num("procs", procs)
-        .num("tableau_nodes", t_ref.len())
-        .num("alive_and", alive_and)
-        .num("alive_or", alive_or)
-        .num("runs", runs)
-        .ns("reference_ns", reference)
-        .ns("fast_ns", fast)
-        .ns("warm_cache_ns", warm)
-        .num("warm_cache_hits", warm_prof.cache_hits)
-        .float("speedup", speedup)
-        .float("warm_speedup", warm_speedup)
-        .bool("identical_tableaux", true)
-        .build()
-}
-
-/// Head-to-head engine-generation timing on one problem: the
-/// work-stealing expansion scheduler (with the current expansion
-/// kernel) against the retained level-synchronized engine (which
-/// freezes the previous generation's kernel, the same way
-/// `build_reference` freezes the naive one), both at `threads` worker
-/// threads on identical inputs, best of `runs`. The tableaux must agree
-/// bit-for-bit — the engines differ only in scheduling and kernel
-/// generation, never in output.
-fn compare_scheduler(
-    name: &str,
-    procs: usize,
-    mut problem: SynthesisProblem,
-    threads: usize,
-    runs: usize,
-) -> String {
-    eprintln!("comparing build engines on {name} at {threads} threads ...");
-    let roots = problem.closure_roots();
-    let spec = roots[0];
-    let closure = Closure::build(&mut problem.arena, &problem.props, &roots);
-    let fault_spec = FaultSpec {
-        actions: problem.faults.clone(),
-        tolerance_labels: problem.tolerance_label_sets(&closure),
-    };
-    let mut root = closure.empty_label();
-    root.insert(closure.index_of(spec).expect("spec is a closure root"));
-
-    let (t_ls, level_sync) = time_build(runs, || {
-        build_level_sync(&closure, &problem.props, root.clone(), &fault_spec, threads).0
-    });
-    let (t_ws, work_stealing) = time_build(runs, || {
-        build_with_threads(&closure, &problem.props, root.clone(), &fault_spec, threads).0
-    });
-    assert_identical(name, "ws-vs-levelsync", &t_ws, &t_ls);
-    let (_, prof) =
-        build_with_threads(&closure, &problem.props, root.clone(), &fault_spec, threads);
-
-    let speedup = level_sync.as_secs_f64() / work_stealing.as_secs_f64();
-    eprintln!(
-        "  {name}: level-sync {level_sync:.2?}, work-stealing {work_stealing:.2?} \
-         ({speedup:.2}x, {} batches, {} steals) ({} nodes)",
-        prof.batches,
-        prof.steals,
-        t_ws.len()
-    );
-    Obj::default()
-        .str("kind", "scheduler")
-        .str("name", name)
-        .num("procs", procs)
-        .num("threads", threads)
-        .num("tableau_nodes", t_ws.len())
-        .num("runs", runs)
-        .ns("level_sync_ns", level_sync)
-        .ns("work_stealing_ns", work_stealing)
-        .num("batches", prof.batches)
-        .num("steals", prof.steals)
-        .float("speedup", speedup)
-        .bool("identical_tableaux", true)
-        .build()
-}
-
-/// Head-to-head minimization-engine timing on one problem: the
-/// incremental engine (labeling cache + transfer calculus + candidate
-/// pruning, single-threaded so the ratio measures the algorithm, not
-/// parallelism) against the preserved per-attempt greedy reference, on
-/// the identical pre-minimization pipeline model, best of `runs`. The
-/// minimized models and state mappings must agree byte-for-byte, and
-/// the engines must commit the same merge sequence (same attempt and
-/// merge counts).
-fn compare_minimize(name: &str, procs: usize, mut problem: SynthesisProblem, runs: usize) -> String {
-    eprintln!("comparing minimization engines on {name} ...");
-    let mode = problem.mode;
-    let (closure, mut tableau) = tableau_of(&mut problem);
-    apply_deletion_rules_mode(&mut tableau, &closure, mode);
-    assert!(tableau.alive(tableau.root()), "{name} is synthesizable");
-    let c0 = tableau
-        .alive_succ(tableau.root(), |_| true)
-        .map(|(_, c)| c)
-        .next()
-        .expect("alive root has an alive AND child");
-    let unraveled = unravel_mode(&tableau, &closure, &problem.props, c0, mode).model;
-    // The pipeline quotients by bisimulation before minimizing.
-    let model = ftsyn::kripke::bisimulation_quotient(&unraveled).model;
-
-    let mut best = |f: &mut dyn FnMut(&mut SynthesisProblem) -> _| {
-        let mut best = Duration::MAX;
-        let mut out = None;
-        for _ in 0..runs {
-            let tick = Instant::now();
-            let r = f(&mut problem);
-            best = best.min(tick.elapsed());
-            out = Some(r);
-        }
-        (out.expect("runs >= 1"), best)
-    };
-    let ((ref_model, ref_map, ref_prof), reference) =
-        best(&mut |p| semantic_minimize_reference(p, model.clone()));
-    let ((fast_model, fast_map, fast_prof), fast) =
-        best(&mut |p| semantic_minimize_with_threads(p, model.clone(), 1));
-
-    // `FtKripke` has no `PartialEq`; its `Debug` form renders every
-    // state, valuation, role and edge deterministically, so string
-    // equality is byte-identity.
-    assert_eq!(
-        format!("{fast_model:?}"),
-        format!("{ref_model:?}"),
-        "{name}: minimized models diverged"
-    );
-    assert_eq!(fast_map, ref_map, "{name}: state mappings diverged");
-    assert_eq!(fast_prof.attempts, ref_prof.attempts, "{name}: attempts diverged");
-    assert_eq!(fast_prof.merges, ref_prof.merges, "{name}: merges diverged");
-
-    let speedup = reference.as_secs_f64() / fast.as_secs_f64();
-    eprintln!(
-        "  {name}: reference {reference:.2?}, incremental {fast:.2?} ({speedup:.2}x, \
-         {} merges of {} tried, {} -> {} states)",
-        fast_prof.merges,
-        fast_prof.attempts,
-        model.len(),
-        fast_model.len()
-    );
-    Obj::default()
-        .str("name", name)
-        .num("procs", procs)
-        .num("model_states", model.len())
-        .num("minimized_states", fast_model.len())
-        .num("runs", runs)
-        .ns("reference_ns", reference)
-        .ns("fast_ns", fast)
-        .float("speedup", speedup)
-        .num("attempts", fast_prof.attempts)
-        .num("merges", fast_prof.merges)
-        .num("full_checks", fast_prof.full_checks)
-        .num("carried", fast_prof.carried)
-        .bool("identical_models", true)
         .build()
 }
 
@@ -945,48 +631,6 @@ fn main() {
         run_wire("wire-bounded-2", Some(2)),
     ];
 
-    // Deletion-engine head-to-head: worklist vs the sweep-based
-    // reference on fault-prone instances, scaled up in process count
-    // (the worklist engine's advantage grows with tableau size).
-    let comparisons = vec![
-        compare_engines(
-            "mutex2-failstop-masking",
-            2,
-            mutex::with_fail_stop(2, Tolerance::Masking),
-            5,
-        ),
-        compare_engines(
-            "mutex3-failstop-masking",
-            3,
-            mutex::with_fail_stop(3, Tolerance::Masking),
-            3,
-        ),
-        compare_engines(
-            "mutex4-failstop-masking",
-            4,
-            mutex::with_fail_stop(4, Tolerance::Masking),
-            3,
-        ),
-        compare_engines(
-            "mutex3-failstop-nonmasking",
-            3,
-            mutex::with_fail_stop(3, Tolerance::Nonmasking),
-            3,
-        ),
-        compare_engines(
-            "barrier3-state-faults",
-            3,
-            barrier::with_general_state_faults(3),
-            3,
-        ),
-        compare_engines(
-            "barrier3-failstop-impossible",
-            3,
-            barrier::with_fail_stop_impossible(3),
-            3,
-        ),
-    ];
-
     // Backend head-to-head (Section 6 of DESIGN.md §13): the tableau
     // pipeline against the CEGIS bounded-synthesis engine, end to end.
     // mutex4-failstop is the headline row (the tableau's ~26k-node
@@ -1033,88 +677,17 @@ fn main() {
         ),
     ];
 
-    // Build-kernel head-to-head: optimized (cold and warm-cache)
-    // expansion against the pre-optimization reference, bit-identical
-    // outputs asserted ("kind": "kernel"), plus the work-stealing
-    // scheduler against the retained level-synchronized engine at 8
-    // worker threads ("kind": "scheduler").
-    let build_comparisons = vec![
-        compare_build(
-            "mutex2-failstop-masking",
-            2,
-            mutex::with_fail_stop(2, Tolerance::Masking),
-            5,
-        ),
-        compare_build(
-            "mutex3-failstop-masking",
-            3,
-            mutex::with_fail_stop(3, Tolerance::Masking),
-            3,
-        ),
-        compare_build(
-            "barrier3-state-faults",
-            3,
-            barrier::with_general_state_faults(3),
-            3,
-        ),
-        compare_scheduler(
-            "mutex3-failstop-masking",
-            3,
-            mutex::with_fail_stop(3, Tolerance::Masking),
-            8,
-            3,
-        ),
-        compare_scheduler(
-            "mutex4-failstop-masking",
-            4,
-            mutex::with_fail_stop(4, Tolerance::Masking),
-            8,
-            3,
-        ),
-    ];
-
-    // Minimization-engine head-to-head: the incremental engine against
-    // the preserved per-attempt greedy reference, byte-identical
-    // outputs asserted. The two largest rows are exactly the
-    // minimization-bound instances the incremental engine was built
-    // for; the reference takes tens of seconds there, so they run once.
-    let minimize_comparisons = vec![
-        compare_minimize(
-            "mutex2-failstop-masking",
-            2,
-            mutex::with_fail_stop(2, Tolerance::Masking),
-            3,
-        ),
-        compare_minimize(
-            "mutex3-failstop-masking",
-            3,
-            mutex::with_fail_stop(3, Tolerance::Masking),
-            3,
-        ),
-        compare_minimize("philosophers3", 3, mutex::dining_philosophers(3), 3),
-        compare_minimize(
-            "mutex4-failstop-masking",
-            4,
-            mutex::with_fail_stop(4, Tolerance::Masking),
-            1,
-        ),
-        compare_minimize("philosophers5", 5, mutex::dining_philosophers(5), 1),
-    ];
-
     let doc = Obj::default()
         .str(
             "generated_by",
             "cargo run --release -p ftsyn-bench --bin bench_json",
         )
-        .str("schema_version", "11")
+        .str("schema_version", "12")
         .raw("problems", &arr(problems))
         .raw("budgeted", &arr(budgeted))
         .raw("service_throughput", &arr(service_rows))
         .raw("wire", &arr(wires))
         .raw("backend_comparison", &arr(backend_comparisons))
-        .raw("deletion_engine_comparison", &arr(comparisons))
-        .raw("build_kernel_comparison", &arr(build_comparisons))
-        .raw("minimize_kernel_comparison", &arr(minimize_comparisons))
         .build();
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_synthesis.json");

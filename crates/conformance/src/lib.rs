@@ -18,8 +18,8 @@
 //!   byte-for-byte — and every synthesized program is re-checked by the
 //!   `ftsyn-kripke` model checker as an independent oracle (`⊨` and
 //!   `⊨ₙ`, via [`ftsyn::check_program`]). With the `slow-reference`
-//!   feature, each case additionally cross-checks the optimized tableau
-//!   build against the pre-optimization reference kernel.
+//!   feature, each case additionally cross-checks the tableau build at
+//!   2 threads against the sequential reference build.
 //! - **Fault-injection campaigns** ([`campaign`], `tests/campaign.rs`):
 //!   synthesized programs are *run* under seeded randomized simulation
 //!   with injected faults, asserting the runtime counterpart of their

@@ -92,8 +92,28 @@ fn minimized_model_is_byte_identical_across_minimize_thread_counts() {
 #[cfg(feature = "slow-reference")]
 #[test]
 fn fast_engine_is_byte_identical_to_reference_engine() {
+    assert_matches_reference_engine(pipeline_problems());
+}
+
+/// [`fast_engine_is_byte_identical_to_reference_engine`] on the two
+/// minimization-bound instances, where the reference engine takes
+/// minutes. Run with
+/// `cargo test -p ftsyn-conformance --test minimize --features
+/// slow-reference -- --ignored`.
+#[cfg(feature = "slow-reference")]
+#[test]
+#[ignore = "the reference engine takes minutes on these instances"]
+fn fast_engine_is_byte_identical_to_reference_engine_on_large_models() {
+    assert_matches_reference_engine(vec![
+        ("mutex4-failstop-masking", mutex::with_fail_stop(4, Tolerance::Masking)),
+        ("philosophers5", mutex::dining_philosophers(5)),
+    ]);
+}
+
+#[cfg(feature = "slow-reference")]
+fn assert_matches_reference_engine(problems: Vec<(&'static str, SynthesisProblem)>) {
     use ftsyn::semantic_minimize_reference;
-    for (name, mut problem) in pipeline_problems() {
+    for (name, mut problem) in problems {
         let model = pre_minimization_model(&mut problem);
         let (fast, fast_map, fast_prof) =
             semantic_minimize_with_threads(&mut problem, model.clone(), 1);

@@ -19,15 +19,12 @@
 //! state where the release `g` holds.
 
 use crate::ids::{FormulaId, PropId};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A CTL formula node in positive normal form.
 ///
 /// All children are [`FormulaId`]s into the owning [`FormulaArena`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum Formula {
     /// The constant `true`.
     True,

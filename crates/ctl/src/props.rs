@@ -9,14 +9,11 @@
 //! them from the propositions of the problem specification.
 
 use crate::ids::PropId;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Who owns (i.e. may modify, under normal operation) a proposition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum Owner {
     /// The proposition belongs to `AP_i` for the given 0-based process index.
     Process(usize),
@@ -46,7 +43,6 @@ impl std::error::Error for PropError {}
 
 /// Registry of atomic propositions: names, owners and auxiliary flags.
 #[derive(Clone, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct PropTable {
     names: Vec<String>,
     owners: Vec<Owner>,

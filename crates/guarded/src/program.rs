@@ -10,14 +10,11 @@
 use crate::expr::BoolExpr;
 use ftsyn_ctl::PropTable;
 use ftsyn_kripke::PropSet;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// A named local state of a process, identified by the set of the
 /// process's propositions that are true in it.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct LocalState {
     /// Display name (e.g. `N1`, or `D1` for a fail-stopped state).
     pub name: String,
@@ -27,7 +24,6 @@ pub struct LocalState {
 
 /// An arc of a synchronization skeleton: `from --[guard → assigns]--> to`.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ProcArc {
     /// Source local-state index.
     pub from: usize,
@@ -42,7 +38,6 @@ pub struct ProcArc {
 
 /// A sequential process: a synchronization skeleton.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Process {
     /// 0-based process index.
     pub index: usize,
@@ -87,7 +82,6 @@ impl Process {
 
 /// A shared synchronization variable with domain `1..=domain`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct SharedVar {
     /// Display name.
     pub name: String,
@@ -97,7 +91,6 @@ pub struct SharedVar {
 
 /// A concurrent program `P₁ ‖ … ‖ P_I` with shared variables.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Program {
     /// The processes.
     pub processes: Vec<Process>,

@@ -1,13 +1,10 @@
 //! Global states: proposition valuations plus shared-variable values.
 
 use ftsyn_ctl::{PropId, PropTable};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A set of atomic propositions, as a bitset over [`PropId`]s.
 #[derive(PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct PropSet {
     bits: Vec<u64>,
 }
@@ -121,7 +118,6 @@ impl fmt::Debug for PropSet {
 /// of any shared synchronization variables (empty until the extraction
 /// step of the synthesis method introduces them).
 #[derive(PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct State {
     /// Propositions true in this state (closed world: absent = false).
     pub props: PropSet,

@@ -13,9 +13,9 @@
 //!
 //! # Deterministic work-stealing expansion scheduler
 //!
-//! The default engine ([`build`], [`build_with_threads`],
-//! [`build_with_cache`]) chunks expansion work into fixed-size batches
-//! carrying dense sequence ids. Worker threads
+//! The engine ([`build`], [`build_with_threads`], [`build_with_cache`]
+//! and the governed entry points) chunks expansion work into fixed-size
+//! batches carrying dense sequence ids. Worker threads
 //! (`std::thread::scope`, no external dependencies) pull batches from
 //! per-worker queues and *steal* from the most loaded other queue when
 //! theirs runs dry — so a worker that finishes its share of one BFS
@@ -26,16 +26,15 @@
 //! determinism comes from the *commit* side: the main thread applies
 //! batch results strictly in sequence order (interning, edge insertion,
 //! fresh-node collection), and fresh nodes are batched in discovery
-//! order. The global commit order therefore equals the BFS frontier
-//! order of a sequential build, and the produced tableau — node ids,
+//! order. The global commit order therefore equals the FIFO order of a
+//! sequential breadth-first build, and the produced tableau — node ids,
 //! edge order, intern order — is bit-identical at every thread count.
 //! See `DESIGN.md` §8 for the full argument.
 //!
-//! The previous level-synchronized engine is retained verbatim as
-//! [`build_level_sync`] (same output, barrier per BFS level, classic
-//! `Blocks` minimal filter) so benchmarks can compare engine
-//! generations head-to-head, and as the harness of the
-//! [`build_reference`] naive-kernel oracle.
+//! `build_reference` (tests and `slow-reference` only) is that
+//! sequential build, written out plainly over the pre-optimization
+//! kernels of [`crate::expand_naive`]: the oracle the engine is checked
+//! against node for node.
 
 use crate::cache::{CacheFill, ExpansionCache};
 use crate::checkpoint::{spec_fingerprint, Checkpoint, PendingBatch};
@@ -51,9 +50,9 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// A tableau construction stopped by its [`Governor`]: the reason plus
-/// the partial [`BuildProfile`] and node count accumulated so far —
-/// and, for the work-stealing engine, a resumable [`Checkpoint`] of the
-/// exact abort point plus the deferred cache fills computed so far.
+/// the partial [`BuildProfile`] and node count accumulated so far, a
+/// resumable [`Checkpoint`] of the exact abort point and the deferred
+/// cache fills computed so far.
 #[derive(Debug)]
 pub struct BuildAbort {
     /// Which budget tripped (or which worker panicked).
@@ -62,15 +61,12 @@ pub struct BuildAbort {
     pub profile: BuildProfile,
     /// Tableau nodes interned when the build stopped.
     pub nodes: usize,
-    /// Resumable snapshot of the abort point. `Some` for the
-    /// work-stealing engine ([`build_governed`],
-    /// [`build_shared_cache_governed`], [`build_resume_governed`]);
-    /// `None` for the retained level-synchronized engine, which is not
-    /// resumable.
+    /// Resumable snapshot of the abort point ([`build_governed`],
+    /// [`build_shared_cache_governed`] and [`build_resume_governed`]
+    /// always set it; callers treat `None` as not resumable).
     pub checkpoint: Option<Box<Checkpoint>>,
     /// `Blocks`/`Tiles` results computed before the abort, still worth
-    /// warming a cache with (the work-stealing engine defers fills to
-    /// its caller; empty for engines that apply fills themselves).
+    /// warming a cache with (the engine defers fills to its caller).
     pub fills: Vec<CacheFill>,
 }
 
@@ -183,30 +179,25 @@ fn fault_or_label(
 /// Frontier/parallelism statistics of one tableau construction.
 #[derive(Clone, Debug, Default)]
 pub struct BuildProfile {
-    /// Breadth-first levels until the frontier emptied. (The
-    /// work-stealing engine has no level barriers, but tracks each
-    /// node's BFS level as bookkeeping; the value matches the
-    /// level-synchronized engine exactly.)
+    /// Breadth-first levels until the frontier emptied. The
+    /// work-stealing engine has no level barriers; it tracks each
+    /// node's BFS level as bookkeeping, and the value equals the level
+    /// count of the sequential `build_reference` oracle.
     pub levels: usize,
-    /// Levels wide enough for parallel expansion (≥ the minimum
-    /// parallel frontier, with more than one thread). For the
-    /// level-synchronized engine these are the levels that actually ran
-    /// on worker threads.
-    pub parallel_levels: usize,
     /// Total nodes expanded (= final node count).
     pub nodes_expanded: usize,
     /// Widest frontier encountered.
     pub max_frontier: usize,
     /// Worker threads the build was allowed to use.
     pub threads: usize,
-    /// Scheduler batches executed (0 for the level-synchronized
-    /// engine, which schedules whole levels).
+    /// Scheduler batches injected: fixed-size chunks of at most
+    /// `BATCH_SIZE` frontier nodes, identical at every thread count (0
+    /// for the `build_reference` oracle, which has no scheduler).
     pub batches: usize,
     /// Batches a worker took from another worker's queue instead of
     /// its own.
     pub steals: usize,
-    /// Batches executed per worker (empty for single-threaded or
-    /// level-synchronized builds).
+    /// Batches executed per worker (empty for single-threaded builds).
     pub worker_batches: Vec<usize>,
     /// Time each worker spent parked waiting for work.
     pub worker_idle: Vec<Duration>,
@@ -282,58 +273,26 @@ impl BlocksWork {
 /// cache fill (if the lookup missed) and the `Blocks` work done.
 type Expanded = (Vec<Step>, Option<CacheFill>, BlocksWork);
 
-/// Which expansion kernels a build uses.
-#[derive(Clone, Copy)]
-enum Kernel {
-    /// The optimized kernels in [`crate::expand`] (plus the memo cache
-    /// when one is supplied) — the work-stealing engine's kernels.
-    Fast,
-    /// The [`crate::expand`] kernels with the classic `Blocks` minimal
-    /// filter, frozen with the retained level-synchronized engine
-    /// ([`build_level_sync`]) so head-to-heads compare engine
-    /// generations.
-    Classic,
-    /// The pre-optimization kernels in [`crate::expand_naive`], kept as
-    /// a timing/equivalence oracle.
-    #[cfg(any(test, feature = "slow-reference"))]
-    Reference,
-}
-
-/// The tableau-side facts expansion needs about one node, taken as an
-/// explicit snapshot so the work-stealing workers never borrow the
-/// mutably growing tableau.
-#[derive(Clone, Copy)]
-struct NodeView<'a> {
-    kind: NodeKind,
-    dummy: bool,
-    label: &'a LabelSet,
-}
-
 /// The pure half of expanding one node: everything that only *reads*
-/// tableau state (through a [`NodeView`] snapshot). Safe to run
-/// concurrently for any set of nodes; cache lookups share the table
-/// immutably (counters are atomic) and cache *inserts* are deferred as
-/// [`CacheFill`]s.
+/// the node's snapshot. Safe to run concurrently for any set of nodes;
+/// cache lookups share the table immutably (counters are atomic) and
+/// cache *inserts* are deferred as [`CacheFill`]s.
 fn expand_task(
     closure: &Closure,
     props: &PropTable,
     faults: &FaultSpec,
-    view: NodeView<'_>,
+    task: &Task,
     cache: Option<&ExpansionCache>,
-    kernel: Kernel,
 ) -> Expanded {
-    let label = view.label;
-    match view.kind {
+    let label = &task.label;
+    match task.kind {
         NodeKind::Or => {
-            if view.dummy {
-                return (Vec::new(), None, BlocksWork::default()); // successors pinned at creation
-            }
             let mut fill = None;
             let mut work = BlocksWork::default();
             let bs = match cache.and_then(|c| c.lookup_blocks(label)) {
                 Some(cached) => cached.clone(),
                 None => {
-                    let (computed, candidates) = run_blocks(closure, label, kernel);
+                    let (computed, candidates) = blocks_counted(closure, label);
                     work = BlocksWork {
                         candidates,
                         minimal: computed.len(),
@@ -360,7 +319,7 @@ fn expand_task(
             let ts = match cache.and_then(|c| c.lookup_tiles(label)) {
                 Some(cached) => cached.clone(),
                 None => {
-                    let computed = run_tiles(closure, props, label, kernel);
+                    let computed = tiles(closure, props, label);
                     if cache.is_some() {
                         fill = Some(CacheFill::Tiles(label.clone(), computed.clone()));
                     }
@@ -402,53 +361,6 @@ fn expand_task(
     }
 }
 
-/// [`expand_task`] reading its snapshot from a tableau node — the
-/// level-synchronized engine's entry point (its workers share the
-/// tableau immutably between level barriers).
-fn expand_node(
-    t: &Tableau,
-    closure: &Closure,
-    props: &PropTable,
-    faults: &FaultSpec,
-    id: NodeId,
-    cache: Option<&ExpansionCache>,
-    kernel: Kernel,
-) -> Expanded {
-    let n = t.node(id);
-    let view = NodeView {
-        kind: n.kind,
-        dummy: n.dummy,
-        label: &n.label,
-    };
-    expand_task(closure, props, faults, view, cache, kernel)
-}
-
-/// Runs `Blocks` with the kernel's filter; returns the minimal labels
-/// and the number of candidates the filter examined.
-fn run_blocks(closure: &Closure, label: &LabelSet, kernel: Kernel) -> (Vec<LabelSet>, usize) {
-    match kernel {
-        Kernel::Fast => blocks_counted(closure, label),
-        Kernel::Classic => crate::expand::blocks_classic(closure, label),
-        #[cfg(any(test, feature = "slow-reference"))]
-        Kernel::Reference => crate::expand_naive::blocks_naive_counted(closure, label),
-    }
-}
-
-fn run_tiles(closure: &Closure, props: &PropTable, label: &LabelSet, kernel: Kernel) -> Vec<Tile> {
-    match kernel {
-        // `Tiles` never grew a second filter; Fast and Classic share it.
-        Kernel::Fast | Kernel::Classic => tiles(closure, props, label),
-        #[cfg(any(test, feature = "slow-reference"))]
-        Kernel::Reference => crate::expand_naive::tiles_naive(closure, props, label),
-    }
-}
-
-/// Frontiers below this size are expanded inline by the
-/// level-synchronized engine (thread spawn overhead would dominate);
-/// the work-stealing engine uses the same threshold only as the
-/// [`BuildProfile::parallel_levels`] bookkeeping cutoff.
-const MIN_PARALLEL_FRONTIER: usize = 4;
-
 /// Expansion tasks per work-stealing batch. Small enough to spread a
 /// narrow frontier across workers, large enough that the per-batch
 /// queue/commit bookkeeping stays noise.
@@ -483,7 +395,6 @@ pub fn build_with_threads(
         faults,
         threads,
         None,
-        Kernel::Fast,
         None,
     )
     .unwrap_or_else(|a| panic!("ungoverned tableau build aborted: {}", a.reason));
@@ -511,7 +422,6 @@ pub fn build_governed(
         faults,
         threads,
         None,
-        Kernel::Fast,
         Some(gov),
     )
     .map(|(t, profile, _)| (t, profile))
@@ -538,7 +448,6 @@ pub fn build_shared_cache_governed(
         faults,
         threads,
         cache,
-        Kernel::Fast,
         gov,
     )
 }
@@ -567,7 +476,6 @@ pub fn build_resume_governed(
         faults,
         threads,
         cache,
-        Kernel::Fast,
         gov,
     )
 }
@@ -591,7 +499,6 @@ pub fn build_with_cache(
         faults,
         threads,
         Some(&*cache),
-        Kernel::Fast,
         None,
     )
     .unwrap_or_else(|a| panic!("ungoverned tableau build aborted: {}", a.reason));
@@ -601,294 +508,86 @@ pub fn build_with_cache(
     (t, profile)
 }
 
-/// The retained previous-generation engine: level-synchronized parallel
-/// expansion (barrier per BFS level) with the classic `Blocks` minimal
-/// filter. Produces a tableau bit-identical to [`build_with_threads`];
-/// kept public so benchmarks can compare engine generations
-/// head-to-head.
-pub fn build_level_sync(
-    closure: &Closure,
-    props: &PropTable,
-    root_label: LabelSet,
-    faults: &FaultSpec,
-    threads: usize,
-) -> (Tableau, BuildProfile) {
-    build_level_core(
-        closure,
-        props,
-        root_label,
-        faults,
-        threads,
-        None,
-        Kernel::Classic,
-        None,
-    )
-    .unwrap_or_else(|a| panic!("ungoverned tableau build aborted: {}", a.reason))
-}
-
-/// [`build_level_sync`] under a [`Governor`]: polls after every level
-/// barrier and contains worker panics, like [`build_governed`] does for
-/// the work-stealing engine.
-pub fn build_level_sync_governed(
-    closure: &Closure,
-    props: &PropTable,
-    root_label: LabelSet,
-    faults: &FaultSpec,
-    threads: usize,
-    gov: &Governor,
-) -> Result<(Tableau, BuildProfile), Box<BuildAbort>> {
-    build_level_core(
-        closure,
-        props,
-        root_label,
-        faults,
-        threads,
-        None,
-        Kernel::Classic,
-        Some(gov),
-    )
-}
-
-/// [`build_with_threads`] running the pre-optimization
-/// [`crate::expand_naive`] kernels on the level-synchronized harness —
-/// the timing/equivalence oracle for both engines. Must produce a
-/// bit-identical tableau.
+/// The sequential oracle of the engine: a plain FIFO breadth-first
+/// construction over the pre-optimization [`crate::expand_naive`]
+/// kernels, with no batches, threads, cache or governor. Each dequeued
+/// node's successors are interned and wired in step order, which is
+/// the engine's global commit order, so the tableau must match
+/// [`build_with_threads`] node for node at every thread count: ids,
+/// kinds, labels, `succ` and `pred` order. The profile carries the
+/// deterministic counters only (`levels`, `nodes_expanded`,
+/// `max_frontier`, `intern_probes`, `blocks_candidates`,
+/// `blocks_minimal`).
 #[cfg(any(test, feature = "slow-reference"))]
 pub fn build_reference(
     closure: &Closure,
     props: &PropTable,
     root_label: LabelSet,
     faults: &FaultSpec,
-    threads: usize,
 ) -> (Tableau, BuildProfile) {
-    build_level_core(
-        closure,
-        props,
-        root_label,
-        faults,
-        threads,
-        None,
-        Kernel::Reference,
-        None,
-    )
-    .unwrap_or_else(|a| panic!("ungoverned tableau build aborted: {}", a.reason))
-}
-
-/// The planned materialization of one [`Step`] after interning: which
-/// edge to draw, or a dummy pair. Produced by the intern pass, consumed
-/// by the edge pass.
-enum Planned {
-    /// Draw `frontier_node --kind--> target`; `fresh` nodes join the
-    /// next frontier.
-    Edge {
-        kind: EdgeKind,
-        target: NodeId,
-        fresh: bool,
-    },
-    /// Draw the dummy self-loop pair through dummy node `dummy`.
-    DummyPair { dummy: NodeId },
-}
-
-/// One level's pure-expansion output — per frontier node its [`Step`]s
-/// plus an optional deferred cache fill — or the first panicking
-/// worker's message.
-type LevelExpansions = Result<Vec<Expanded>, String>;
-
-/// The retained level-synchronized engine (kept byte-for-byte as the
-/// previous generation; see [`build_level_sync`]).
-#[allow(clippy::too_many_arguments)] // internal core shared by four public entry points
-fn build_level_core(
-    closure: &Closure,
-    props: &PropTable,
-    root_label: LabelSet,
-    faults: &FaultSpec,
-    threads: usize,
-    mut cache: Option<&mut ExpansionCache>,
-    kernel: Kernel,
-    gov: Option<&Governor>,
-) -> Result<(Tableau, BuildProfile), Box<BuildAbort>> {
-    let threads = threads.max(1);
+    use crate::expand_naive::{blocks_naive_counted, tiles_naive};
     let mut profile = BuildProfile {
-        threads,
+        threads: 1,
         ..BuildProfile::default()
     };
-    let counters_before = cache.as_deref().map_or((0, 0), ExpansionCache::counters);
     let mut t = Tableau::with_root(root_label);
-    let mut frontier = vec![t.root()];
-    let mut abort: Option<AbortReason> = None;
-
-    while !frontier.is_empty() {
-        profile.levels += 1;
-        profile.max_frontier = profile.max_frontier.max(frontier.len());
-        profile.nodes_expanded += frontier.len();
-
-        // Pure expansion of the whole level, possibly on worker threads.
-        // Worker bodies are wrapped in `catch_unwind`: a panicking
-        // worker becomes a structured abort instead of a process abort.
-        let t0 = Instant::now();
-        let shared_cache: Option<&ExpansionCache> = cache.as_deref();
-        let expansions: LevelExpansions =
-            if threads > 1 && frontier.len() >= MIN_PARALLEL_FRONTIER {
-                profile.parallel_levels += 1;
-                let chunk = frontier.len().div_ceil(threads);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = frontier
-                        .chunks(chunk)
-                        .map(|ids| {
-                            let t = &t;
-                            scope.spawn(move || {
-                                catch_unwind(AssertUnwindSafe(|| {
-                                    ids.iter()
-                                        .map(|&id| {
-                                            expand_node(
-                                                t,
-                                                closure,
-                                                props,
-                                                faults,
-                                                id,
-                                                shared_cache,
-                                                kernel,
-                                            )
-                                        })
-                                        .collect::<Vec<_>>()
-                                }))
-                            })
-                        })
-                        .collect();
-                    // Joining in spawn order keeps results in frontier
-                    // order, so the apply phase is deterministic.
-                    let mut out = Vec::new();
-                    let mut panicked: Option<String> = None;
-                    for h in handles {
-                        match h.join().unwrap_or_else(Err) {
-                            Ok(v) => out.extend(v),
-                            Err(payload) => {
-                                if panicked.is_none() {
-                                    panicked = Some(panic_message(payload));
-                                }
-                            }
-                        }
-                    }
-                    match panicked {
-                        Some(message) => Err(message),
-                        None => Ok(out),
-                    }
-                })
-            } else {
-                Ok(frontier
-                    .iter()
-                    .map(|&id| expand_node(&t, closure, props, faults, id, shared_cache, kernel))
-                    .collect())
-            };
-        profile.expand_time += t0.elapsed();
-        let expansions = match expansions {
-            Ok(e) => e,
-            Err(message) => {
-                abort = Some(AbortReason::WorkerPanic { message });
-                break;
-            }
-        };
-
-        // Sequential application in frontier order. Two passes, both in
-        // frontier/step order so node numbering matches the historic
-        // interleaved apply exactly: (A) intern every successor label
-        // (this alone defines node ids — edges never create nodes),
-        // (B) draw the edges and collect the next frontier.
-        let t0 = Instant::now();
-        let mut planned: Vec<(NodeId, Vec<Planned>)> = Vec::with_capacity(frontier.len());
-        for (&id, (steps, fill, work)) in frontier.iter().zip(expansions) {
-            work.add_to(&mut profile);
-            if let (Some(c), Some(fill)) = (cache.as_deref_mut(), fill) {
-                c.apply_fill(fill);
-            }
-            let mut plans = Vec::with_capacity(steps.len());
-            for step in steps {
-                let plan = match step {
-                    Step::And { label, hash } => {
-                        profile.intern_probes += 1;
-                        let (target, fresh) = t.intern_and_hashed(label, hash);
-                        Planned::Edge {
-                            kind: EdgeKind::Unlabeled,
-                            target,
-                            fresh,
-                        }
-                    }
-                    Step::Or { proc, label, hash } => {
-                        profile.intern_probes += 1;
-                        let (target, fresh) = t.intern_or_hashed(label, hash);
-                        Planned::Edge {
-                            kind: EdgeKind::Proc(proc),
-                            target,
-                            fresh,
-                        }
-                    }
-                    Step::Fault {
-                        action,
-                        label,
-                        hash,
-                    } => {
-                        profile.intern_probes += 1;
-                        let (target, fresh) = t.intern_or_hashed(label, hash);
-                        Planned::Edge {
-                            kind: EdgeKind::Fault(action),
-                            target,
-                            fresh,
-                        }
-                    }
-                    Step::Dummy => Planned::DummyPair {
-                        dummy: t.new_dummy_or(t.node(id).label.clone()),
-                    },
-                };
-                plans.push(plan);
-            }
-            planned.push((id, plans));
+    let mut level_widths: Vec<usize> = Vec::new();
+    let mut queue = VecDeque::from([(t.root(), 0)]);
+    while let Some((id, level)) = queue.pop_front() {
+        if level_widths.len() == level {
+            level_widths.push(0);
         }
-        profile.intern_time += t0.elapsed();
-
-        let mut next = Vec::new();
-        for (id, plans) in planned {
-            for plan in plans {
-                match plan {
-                    Planned::Edge {
-                        kind,
-                        target,
-                        fresh,
-                    } => {
-                        t.add_edge(id, kind, target);
-                        if fresh {
-                            next.push(target);
+        level_widths[level] += 1;
+        let label = t.node(id).label.clone();
+        let mut succ: Vec<(EdgeKind, LabelSet)> = Vec::new();
+        match t.node(id).kind {
+            NodeKind::Or => {
+                let (blocks, candidates) = blocks_naive_counted(closure, &label);
+                profile.blocks_candidates += candidates;
+                profile.blocks_minimal += blocks.len();
+                succ.extend(blocks.into_iter().map(|b| (EdgeKind::Unlabeled, b)));
+            }
+            NodeKind::And => {
+                for tile in tiles_naive(closure, props, &label) {
+                    succ.push(match tile {
+                        Tile::Or { proc, or_label } => (EdgeKind::Proc(proc), or_label),
+                        Tile::Dummy => (EdgeKind::Dummy, label.clone()),
+                    });
+                }
+                let valuation = valuation_of(closure, props, &label);
+                for (ai, action) in faults.actions.iter().enumerate() {
+                    if action.enabled(&valuation) {
+                        for phi in action.outcomes(&valuation, props.len()) {
+                            let tol = &faults.tolerance_labels[ai];
+                            let l = fault_or_label(closure, props, &phi, tol);
+                            succ.push((EdgeKind::Fault(ai), l));
                         }
-                    }
-                    Planned::DummyPair { dummy } => {
-                        t.add_edge(id, EdgeKind::Dummy, dummy);
-                        t.add_edge(dummy, EdgeKind::Unlabeled, id);
                     }
                 }
             }
         }
-        profile.apply_time += t0.elapsed();
-        frontier = next;
-        if let Err(reason) = poll_build(gov, t.len()) {
-            abort = Some(reason);
-            break;
+        for (kind, l) in succ {
+            if kind == EdgeKind::Dummy {
+                let dummy = t.new_dummy_or(l);
+                t.add_edge(id, kind, dummy);
+                t.add_edge(dummy, EdgeKind::Unlabeled, id);
+                continue;
+            }
+            profile.intern_probes += 1;
+            let (target, fresh) = match kind {
+                EdgeKind::Unlabeled => t.intern_and(l),
+                _ => t.intern_or(l),
+            };
+            t.add_edge(id, kind, target);
+            if fresh {
+                queue.push_back((target, level + 1));
+            }
         }
     }
-    let counters_after = cache.as_deref().map_or((0, 0), ExpansionCache::counters);
-    profile.cache_hits = counters_after.0 - counters_before.0;
-    profile.cache_misses = counters_after.1 - counters_before.1;
-    match abort {
-        Some(reason) => Err(Box::new(BuildAbort {
-            reason,
-            nodes: t.len(),
-            profile,
-            // The level-synchronized engine predates checkpointing and
-            // applies its fills per level; it is kept verbatim as the
-            // previous generation, so its aborts are not resumable.
-            checkpoint: None,
-            fills: Vec::new(),
-        })),
-        None => Ok((t, profile)),
-    }
+    profile.nodes_expanded = level_widths.iter().sum();
+    profile.levels = level_widths.len();
+    profile.max_frontier = level_widths.iter().copied().max().unwrap_or(0);
+    (t, profile)
 }
 
 /// One node to expand, snapshotted at discovery time (kind and label
@@ -983,7 +682,6 @@ fn make_batch(t: &Tableau, seq: usize, level: usize, chunk: &[NodeId]) -> Batch 
 /// commit. The batch body runs under `catch_unwind`: a panic is
 /// recorded in the scheduler state (first panic wins) and the worker
 /// exits; the committer turns it into a structured abort.
-#[allow(clippy::too_many_arguments)] // internal scheduler plumbing
 fn worker_loop(
     sched: &Scheduler,
     w: usize,
@@ -991,7 +689,6 @@ fn worker_loop(
     props: &PropTable,
     faults: &FaultSpec,
     cache: Option<&ExpansionCache>,
-    kernel: Kernel,
     gov: Option<&Governor>,
 ) {
     loop {
@@ -1027,14 +724,7 @@ fn worker_loop(
             batch
                 .tasks
                 .iter()
-                .map(|task| {
-                    let view = NodeView {
-                        kind: task.kind,
-                        dummy: false,
-                        label: &task.label,
-                    };
-                    expand_task(closure, props, faults, view, cache, kernel)
-                })
+                .map(|task| expand_task(closure, props, faults, task, cache))
                 .collect::<BatchOutput>()
         }));
         let spent = t0.elapsed();
@@ -1067,16 +757,19 @@ fn worker_loop(
     }
 }
 
-/// Applies one batch's expansion output in task order — the same two
-/// passes as the level-synchronized engine, per batch instead of per
-/// level: (A) intern every successor label (this alone defines node
-/// ids), (B) draw the edges and collect fresh nodes. Interleaving edge
-/// passes between batches' intern passes cannot perturb the result:
-/// node ids depend only on the intern-operation sequence and edge
-/// state only on the edge-operation sequence, and committing batches in
-/// sequence order preserves both sequences exactly as a sequential
-/// frontier-order build produces them.
-#[allow(clippy::too_many_arguments)] // internal commit half of the scheduler
+/// One edge planned by the intern pass of [`commit_batch`]:
+/// `(kind, target, fresh)`. A dummy step plans `(Dummy, dummy, false)`
+/// and becomes the dummy self-loop pair.
+type Plan = (EdgeKind, NodeId, bool);
+
+/// Applies one batch's expansion output in task order, in two passes:
+/// (A) intern every successor label (this alone defines node ids),
+/// (B) draw the edges and collect fresh nodes. Neither the split into
+/// passes nor the interleaving of batches can perturb the result: node
+/// ids depend only on the intern-operation sequence and edge state only
+/// on the edge-operation sequence, and committing batches in sequence
+/// order preserves both sequences exactly as the sequential FIFO build
+/// of `build_reference` produces them.
 fn commit_batch(
     t: &mut Tableau,
     batch: &Batch,
@@ -1093,7 +786,7 @@ fn commit_batch(
     level_widths[batch.level] += batch.tasks.len();
 
     let t0 = Instant::now();
-    let mut planned: Vec<(NodeId, Vec<Planned>)> = Vec::with_capacity(batch.tasks.len());
+    let mut planned: Vec<(NodeId, Vec<Plan>)> = Vec::with_capacity(batch.tasks.len());
     for (task, (steps, fill, work)) in batch.tasks.iter().zip(output) {
         work.add_to(profile);
         // Per-task cache accounting: tasks are never dummy, so with a
@@ -1115,43 +808,26 @@ fn commit_batch(
         let id = task.id;
         let mut plans = Vec::with_capacity(steps.len());
         for step in steps {
-            let plan = match step {
+            let (kind, (target, fresh)) = match step {
                 Step::And { label, hash } => {
-                    profile.intern_probes += 1;
-                    let (target, fresh) = t.intern_and_hashed(label, hash);
-                    Planned::Edge {
-                        kind: EdgeKind::Unlabeled,
-                        target,
-                        fresh,
-                    }
+                    (EdgeKind::Unlabeled, t.intern_and_hashed(label, hash))
                 }
                 Step::Or { proc, label, hash } => {
-                    profile.intern_probes += 1;
-                    let (target, fresh) = t.intern_or_hashed(label, hash);
-                    Planned::Edge {
-                        kind: EdgeKind::Proc(proc),
-                        target,
-                        fresh,
-                    }
+                    (EdgeKind::Proc(proc), t.intern_or_hashed(label, hash))
                 }
                 Step::Fault {
                     action,
                     label,
                     hash,
-                } => {
-                    profile.intern_probes += 1;
-                    let (target, fresh) = t.intern_or_hashed(label, hash);
-                    Planned::Edge {
-                        kind: EdgeKind::Fault(action),
-                        target,
-                        fresh,
-                    }
+                } => (EdgeKind::Fault(action), t.intern_or_hashed(label, hash)),
+                Step::Dummy => {
+                    let dummy = t.new_dummy_or(task.label.clone());
+                    plans.push((EdgeKind::Dummy, dummy, false));
+                    continue;
                 }
-                Step::Dummy => Planned::DummyPair {
-                    dummy: t.new_dummy_or(t.node(id).label.clone()),
-                },
             };
-            plans.push(plan);
+            profile.intern_probes += 1;
+            plans.push((kind, target, fresh));
         }
         planned.push((id, plans));
     }
@@ -1159,22 +835,12 @@ fn commit_batch(
 
     let mut fresh_nodes = Vec::new();
     for (id, plans) in planned {
-        for plan in plans {
-            match plan {
-                Planned::Edge {
-                    kind,
-                    target,
-                    fresh,
-                } => {
-                    t.add_edge(id, kind, target);
-                    if fresh {
-                        fresh_nodes.push(target);
-                    }
-                }
-                Planned::DummyPair { dummy } => {
-                    t.add_edge(id, EdgeKind::Dummy, dummy);
-                    t.add_edge(dummy, EdgeKind::Unlabeled, id);
-                }
+        for (kind, target, fresh) in plans {
+            t.add_edge(id, kind, target);
+            if kind == EdgeKind::Dummy {
+                t.add_edge(target, EdgeKind::Unlabeled, id);
+            } else if fresh {
+                fresh_nodes.push(target);
             }
         }
     }
@@ -1191,10 +857,9 @@ enum WsStart {
 
 /// The work-stealing engine core. Fresh nodes discovered by each commit
 /// are chunked into new batches in discovery order and injected with
-/// the next sequence ids, so the global commit order equals the BFS
-/// frontier order of a sequential build — which is what makes the
-/// output bit-identical at every thread count (and to the
-/// level-synchronized engine).
+/// the next sequence ids, so the global commit order equals the FIFO
+/// order of a sequential build — which is what makes the output
+/// bit-identical at every thread count (and to `build_reference`).
 ///
 /// The cache is taken by shared reference (so concurrent builds may
 /// warm one table) and the deferred [`CacheFill`]s are *returned*, on
@@ -1208,7 +873,6 @@ enum WsStart {
 /// deterministic counters. Resuming replays the identical commit
 /// sequence, so the finished tableau is bit-identical to an
 /// uninterrupted run at every thread count.
-#[allow(clippy::too_many_arguments)] // internal core shared by the public entry points
 fn build_ws_core(
     closure: &Closure,
     props: &PropTable,
@@ -1216,7 +880,6 @@ fn build_ws_core(
     faults: &FaultSpec,
     threads: usize,
     cache: Option<&ExpansionCache>,
-    kernel: Kernel,
     gov: Option<&Governor>,
 ) -> Result<(Tableau, BuildProfile, Vec<CacheFill>), Box<BuildAbort>> {
     let threads = threads.max(1);
@@ -1300,14 +963,7 @@ fn build_ws_core(
                 batch
                     .tasks
                     .iter()
-                    .map(|task| {
-                        let view = NodeView {
-                            kind: task.kind,
-                            dummy: false,
-                            label: &task.label,
-                        };
-                        expand_task(closure, props, faults, view, cache, kernel)
-                    })
+                    .map(|task| expand_task(closure, props, faults, task, cache))
                     .collect::<BatchOutput>()
             }));
             profile.expand_time += t0.elapsed();
@@ -1356,7 +1012,7 @@ fn build_ws_core(
             for w in 0..threads {
                 let sched = &sched;
                 scope.spawn(move || {
-                    worker_loop(sched, w, closure, props, faults, shared_cache, kernel, gov)
+                    worker_loop(sched, w, closure, props, faults, shared_cache, gov)
                 });
             }
             // The committer: consume results strictly in sequence
@@ -1439,14 +1095,6 @@ fn build_ws_core(
     profile.batches = injected;
     profile.levels = level_widths.len();
     profile.max_frontier = level_widths.iter().copied().max().unwrap_or(0);
-    profile.parallel_levels = if threads > 1 {
-        level_widths
-            .iter()
-            .filter(|&&w| w >= MIN_PARALLEL_FRONTIER)
-            .count()
-    } else {
-        0
-    };
     match abort {
         Some(reason) => {
             let nodes = t.len();
@@ -1648,13 +1296,23 @@ mod tests {
         }
     }
 
-    /// The tableau is bit-identical for every worker-thread count
-    /// (labels, kinds, and edges in the same order at the same ids),
-    /// with and without fault actions, through the sharded intern
-    /// tables — and identical to the retained level-synchronized
-    /// engine at every thread count.
+    /// The work-stealing engine matches the sequential
+    /// [`build_reference`] oracle at every worker-thread count (labels,
+    /// kinds, and edges in the same order at the same ids), with and
+    /// without fault actions, through the sharded intern tables, and
+    /// its deterministic counters match the oracle's.
     #[test]
     fn build_is_deterministic_across_thread_counts() {
+        let counters = |p: &BuildProfile| {
+            (
+                p.levels,
+                p.nodes_expanded,
+                p.max_frontier,
+                p.intern_probes,
+                p.blocks_candidates,
+                p.blocks_minimal,
+            )
+        };
         for spec in ["p & AG(EX1 true & EX2 true)", "AG(EX1 true) & AF p & EF q"] {
             for with_faults in [false, true] {
                 let (_, props, cl, root) = simple_setup(spec, 2);
@@ -1663,34 +1321,37 @@ mod tests {
                 } else {
                     FaultSpec::none()
                 };
-                let (seq, seq_prof) = build_with_threads(&cl, &props, root.clone(), &faults, 1);
-                assert_eq!(seq_prof.parallel_levels, 0);
-                assert!(seq_prof.blocks_minimal > 0);
-                assert!(seq_prof.blocks_candidates >= seq_prof.blocks_minimal);
-                let blocks_work = |p: &BuildProfile| (p.blocks_candidates, p.blocks_minimal);
-                for threads in [2, 4, 8] {
-                    let (par, prof) =
-                        build_with_threads(&cl, &props, root.clone(), &faults, threads);
-                    assert_same_tableau(spec, &seq, &par);
-                    assert_eq!(prof.threads, threads);
-                    assert_eq!(prof.levels, seq_prof.levels);
-                    // Dummy successors are created without ever joining
-                    // a frontier, so compare against the sequential
-                    // profile, not the node count.
-                    assert_eq!(prof.nodes_expanded, seq_prof.nodes_expanded);
-                    assert_eq!(blocks_work(&prof), blocks_work(&seq_prof));
-                }
+                let (oracle, oracle_prof) = build_reference(&cl, &props, root.clone(), &faults);
+                assert!(oracle_prof.blocks_minimal > 0);
+                assert!(oracle_prof.blocks_candidates >= oracle_prof.blocks_minimal);
                 for threads in [1, 2, 4, 8] {
-                    let (level, level_prof) =
-                        build_level_sync(&cl, &props, root.clone(), &faults, threads);
-                    assert_same_tableau(spec, &seq, &level);
-                    assert_eq!(level_prof.levels, seq_prof.levels);
-                    assert_eq!(level_prof.nodes_expanded, seq_prof.nodes_expanded);
-                    assert_eq!(blocks_work(&level_prof), blocks_work(&seq_prof));
-                    // The level-synchronized engine schedules whole
-                    // levels, not batches.
-                    assert_eq!(level_prof.batches, 0);
+                    let (built, prof) =
+                        build_with_threads(&cl, &props, root.clone(), &faults, threads);
+                    assert_same_tableau(&format!("{spec}@{threads}"), &oracle, &built);
+                    assert_eq!(prof.threads, threads);
+                    // Dummy successors are created without ever joining
+                    // a frontier, so `nodes_expanded` is not the node
+                    // count.
+                    assert_eq!(counters(&prof), counters(&oracle_prof), "{spec}@{threads}");
                 }
+            }
+        }
+    }
+
+    /// The optimized kernels and the naive kernels behind
+    /// [`build_reference`] produce bit-identical fault-perturbed
+    /// tableaux and the same Blocks candidate and minimal counts.
+    #[test]
+    fn build_matches_reference_kernels() {
+        for spec in ["p & AG(EX1 true & EX2 true)", "AG(EX1 true) & AF p & EF q"] {
+            let (_, props, cl, root) = simple_setup(spec, 2);
+            let faults = flip_p_faults(&props, &cl);
+            let (oracle, oracle_prof) = build_reference(&cl, &props, root.clone(), &faults);
+            for threads in [1, 4] {
+                let (fast, prof) = build_with_threads(&cl, &props, root.clone(), &faults, threads);
+                assert_same_tableau(spec, &fast, &oracle);
+                assert_eq!(prof.blocks_candidates, oracle_prof.blocks_candidates);
+                assert_eq!(prof.blocks_minimal, oracle_prof.blocks_minimal);
             }
         }
     }
@@ -1716,23 +1377,6 @@ mod tests {
                 "every batch runs on exactly one worker: {prof:?}"
             );
             assert_eq!(prof.batches, seq_prof.batches, "batching is deterministic");
-        }
-    }
-
-    /// The optimized build and the [`build_reference`] oracle (naive
-    /// kernels) produce bit-identical tableaux at every thread count.
-    #[test]
-    fn build_matches_reference_kernels() {
-        for spec in ["p & AG(EX1 true & EX2 true)", "AG(EX1 true) & AF p & EF q"] {
-            let (_, props, cl, root) = simple_setup(spec, 2);
-            let faults = flip_p_faults(&props, &cl);
-            let (fast, fast_prof) = build_with_threads(&cl, &props, root.clone(), &faults, 1);
-            for threads in [1, 4] {
-                let (oracle, prof) = build_reference(&cl, &props, root.clone(), &faults, threads);
-                assert_same_tableau(spec, &fast, &oracle);
-                assert_eq!(prof.blocks_candidates, fast_prof.blocks_candidates);
-                assert_eq!(prof.blocks_minimal, fast_prof.blocks_minimal);
-            }
         }
     }
 
@@ -1849,16 +1493,15 @@ mod tests {
         }
     }
 
-    /// Wide frontiers actually produce parallelizable work.
+    /// Wide frontiers actually produce parallel work: more batches than
+    /// one worker's share, and every batch run by some worker. Whether a
+    /// steal happens depends on timing, so steals are only bounded.
     #[test]
     fn wide_frontiers_expand_in_parallel() {
         let (_, props, cl, root) = simple_setup("AG(EX1 true) & AF p & EF q", 2);
         let (_, prof) = build_with_threads(&cl, &props, root, &FaultSpec::none(), 2);
-        assert!(
-            prof.max_frontier >= MIN_PARALLEL_FRONTIER,
-            "spec too narrow to exercise the parallel path: {prof:?}"
-        );
-        assert!(prof.parallel_levels >= 1, "{prof:?}");
-        assert!(prof.batches > 1, "{prof:?}");
+        assert!(prof.batches > 2, "spec too narrow to feed two workers: {prof:?}");
+        assert_eq!(prof.worker_batches.iter().sum::<usize>(), prof.batches, "{prof:?}");
+        assert!(prof.steals <= prof.batches, "{prof:?}");
     }
 }

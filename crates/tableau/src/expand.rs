@@ -28,32 +28,6 @@ pub fn blocks(closure: &Closure, label: &LabelSet) -> Vec<LabelSet> {
 /// minimal filter examined (deduplicated, after the `AX`-without-`EX`
 /// split) — the build's `blocks_candidates` work counter.
 pub(crate) fn blocks_counted(closure: &Closure, label: &LabelSet) -> (Vec<LabelSet>, usize) {
-    blocks_with(closure, label, FilterKind::Accepted)
-}
-
-/// [`blocks`] with the classic all-smaller-labels minimal filter —
-/// retained verbatim with the level-synchronized build kernel so that
-/// engine head-to-heads compare frozen generations (same policy as
-/// [`crate::expand_naive`] for `build_reference`). The output is
-/// identical to [`blocks`]; only the filter's comparison count differs.
-pub(crate) fn blocks_classic(closure: &Closure, label: &LabelSet) -> (Vec<LabelSet>, usize) {
-    blocks_with(closure, label, FilterKind::Classic)
-}
-
-/// Which minimal-superset filter a `blocks` run uses. Both compute the
-/// same predicate (see the filter comments below), so the output —
-/// contents *and* order — is identical either way.
-#[derive(Clone, Copy)]
-enum FilterKind {
-    /// Scan every strictly-smaller label (quadratic in practice on
-    /// fault-heavy problems; frozen with the level-sync kernel).
-    Classic,
-    /// Scan only already-accepted *minimal* strictly-smaller labels
-    /// (the work-stealing engine's filter).
-    Accepted,
-}
-
-fn blocks_with(closure: &Closure, label: &LabelSet, filter: FilterKind) -> (Vec<LabelSet>, usize) {
     let mut done: Vec<LabelSet> = Vec::new();
     let mut done_set: HashSet<LabelSet> = HashSet::new();
     // Branch = (accumulated label, unexpanded α/elementary, unexpanded β).
@@ -211,48 +185,23 @@ fn blocks_with(closure: &Closure, label: &LabelSet, filter: FilterKind) -> (Vec<
     // preserves both soundness and completeness while keeping the
     // tableau (and the final model) small.
     //
-    // A strict subset has strictly smaller cardinality, so only labels
-    // from smaller size classes can shadow `a`. Both filters exploit
-    // this by sorting candidate indices by size; they differ in *which*
-    // smaller labels they compare against:
-    //
-    // * `Classic` scans every strictly-smaller label (the historic
-    //   filter, frozen with the level-sync kernel). Cheap when output
-    //   skews to one size class, quadratic when it does not — which is
-    //   exactly what fault-successor-heavy OR labels produce (many
-    //   distinct size classes of partially-determined branches).
-    //
-    // * `Accepted` compares each label only against the strictly
-    //   smaller labels already accepted as minimal, and only on the
-    //   positions where the candidates differ (see [`accepted_minimal`]).
-    //   The minimal set is typically ~10x smaller than the candidate
-    //   set, and the projection makes each probe one or two words.
+    // The filter compares each label only against the strictly smaller
+    // labels already accepted as minimal, and only on the positions
+    // where the candidates differ (see [`accepted_minimal`]). The
+    // minimal set is typically ~10x smaller than the candidate set, and
+    // the projection makes each probe one or two words.
     let candidates = out.len();
     let sizes: Vec<usize> = out.iter().map(LabelSet::len).collect();
     let mut by_size: Vec<usize> = (0..out.len()).collect();
     by_size.sort_unstable_by_key(|&i| sizes[i]);
-    let minimal = match filter {
-        FilterKind::Classic => out
-            .iter()
-            .enumerate()
-            .filter(|&(i, a)| {
-                !by_size
-                    .iter()
-                    .take_while(|&&j| sizes[j] < sizes[i])
-                    .any(|&j| out[j].is_subset(a))
-            })
-            .map(|(_, a)| a.clone())
-            .collect(),
-        FilterKind::Accepted => PROJECTION.with(|scratch| {
-            let keep = accepted_minimal(&out, &sizes, &by_size, &mut scratch.borrow_mut());
-            // Emit in the original candidate order, exactly like the
-            // classic filter.
-            out.into_iter()
-                .zip(keep)
-                .filter_map(|(a, kept)| kept.then_some(a))
-                .collect()
-        }),
-    };
+    let minimal = PROJECTION.with(|scratch| {
+        let keep = accepted_minimal(&out, &sizes, &by_size, &mut scratch.borrow_mut());
+        // Emit in the original candidate order.
+        out.into_iter()
+            .zip(keep)
+            .filter_map(|(a, kept)| kept.then_some(a))
+            .collect()
+    });
     (minimal, candidates)
 }
 
@@ -277,7 +226,7 @@ thread_local! {
     static PROJECTION: RefCell<Projection> = RefCell::default();
 }
 
-/// The `Accepted` minimal filter over the candidates projected onto
+/// The minimal filter of [`blocks`] over the candidates projected onto
 /// their varying positions. Returns, per candidate, whether it is
 /// ⊆-minimal among `out`.
 ///
@@ -579,15 +528,15 @@ mod tests {
             .sum()
     }
 
-    /// The projected accepted-only minimal filter, the classic
-    /// all-smaller scan and the naive oracle produce identical output —
-    /// contents *and* order — including on labels whose candidates
+    /// The projected accepted-only minimal filter and the naive oracle
+    /// produce identical output — contents *and* order, and the same
+    /// candidate count — including on labels whose candidates
     /// differ in more than 64 and more than 128 closure positions
     /// (projected rows of two and three words), with duplicate leaves
     /// (`(p | q) & (p | r) & (q | r)` reaches `{q, r}` twice) and
     /// `AX`-without-`EX` splits.
     #[test]
-    fn accepted_filter_matches_classic_filter() {
+    fn accepted_filter_matches_naive_filter() {
         let dup = "(p | q) & (p | r) & (q | r)";
         // `(A | B) & (A | C)` reaches `A ∪ B ⊋ A`, so the filter drops
         // supersets whose extra members lie in the high words.
@@ -614,14 +563,10 @@ mod tests {
         for (spec, min_varying) in cases {
             let (_props, cl, labels) = setup(&[spec], 2);
             let (fast, candidates) = blocks_counted(&cl, &labels[0]);
-            let (classic, classic_candidates) = blocks_classic(&cl, &labels[0]);
-            assert_eq!(fast, classic, "{spec}");
-            assert_eq!(candidates, classic_candidates, "{spec}");
-            assert_eq!(
-                fast,
-                crate::expand_naive::blocks_naive(&cl, &labels[0]),
-                "{spec}"
-            );
+            let (naive, naive_candidates) =
+                crate::expand_naive::blocks_naive_counted(&cl, &labels[0]);
+            assert_eq!(fast, naive, "{spec}");
+            assert_eq!(candidates, naive_candidates, "{spec}");
             assert!(
                 fast.len() < candidates || min_varying == 0,
                 "{spec}: nothing filtered"

@@ -2,9 +2,10 @@
 //! `Tiles` expansions, kept verbatim from before the build-phase
 //! acceleration work.
 //!
-//! These are the oracle for the optimized kernels in [`crate::expand`]:
-//! equivalence tests (and the `slow-reference` bench head-to-head)
-//! assert that the fast path produces bit-identical label sets. The
+//! These are the oracle for the optimized kernels in [`crate::expand`]
+//! and the kernels of the sequential [`crate::build_reference`] build:
+//! equivalence tests assert that the fast path produces bit-identical
+//! label sets. The
 //! propositional consistency check here deliberately re-derives the
 //! literal table from the label via a `HashMap` walk — the exact
 //! pre-optimization behavior — rather than using the precomputed
