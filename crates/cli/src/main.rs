@@ -193,7 +193,8 @@ fn main() -> ExitCode {
                      {} full checks / {} carried rejections, \
                      {} base labelings, {} threads), \
                      extract {:.1?} ({} shared vars, {} explored vs {} model states, \
-                     {} off-model, {} arcs refined in {} rounds, extraction {}), \
+                     {} off-model, explore {:.1?}, re-check {:.1?}, \
+                     {} arcs refined in {} rounds, extraction {}), \
                      verify {:.1?}, other {:.1?}",
                         st.build_time,
                         st.build_profile.levels,
@@ -226,6 +227,8 @@ fn main() -> ExitCode {
                         st.extract_profile.explored_states,
                         st.extract_profile.model_states,
                         st.extract_profile.off_model_states,
+                        st.extract_profile.explore_time,
+                        st.extract_profile.recheck_time,
                         st.extract_profile.refined_arcs,
                         st.extract_profile.refinement_rounds,
                         if st.extract_profile.verified {

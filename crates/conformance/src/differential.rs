@@ -47,7 +47,9 @@ pub struct CaseResult {
 ///    runtime traces are simulation-checked too;
 /// 4. with the `slow-reference` feature, cross-checks the work-stealing
 ///    build engine at 2 threads against the sequential reference build
-///    on this seed's tableau.
+///    on this seed's tableau, and the interned explorer and CSR model
+///    checker against their reference oracles on the synthesized
+///    program ([`ftsyn::cross_check_kernels`]).
 ///
 /// # Panics
 ///
@@ -97,6 +99,9 @@ pub fn run_seed(seed: u64) -> CaseResult {
             let report = check_program(&mut p1, &s1.program).unwrap_or_else(|e| {
                 panic!("seed {seed} ({name}): synthesized program not executable: {e}")
             });
+            #[cfg(feature = "slow-reference")]
+            ftsyn::cross_check_kernels(&mut p1, &s1.program)
+                .unwrap_or_else(|e| panic!("seed {seed} ({name}): {e}"));
             assert!(
                 report.tolerant(),
                 "seed {seed} ({name}): model checker rejects the synthesized program: {}",

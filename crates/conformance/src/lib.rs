@@ -19,7 +19,9 @@
 //!   `ftsyn-kripke` model checker as an independent oracle (`⊨` and
 //!   `⊨ₙ`, via [`ftsyn::check_program`]). With the `slow-reference`
 //!   feature, each case additionally cross-checks the tableau build at
-//!   2 threads against the sequential reference build.
+//!   2 threads against the sequential reference build, and the
+//!   explorer and model checker against their reference oracles
+//!   (which `tests/golden.rs` also does on every golden program).
 //! - **Fault-injection campaigns** ([`campaign`], `tests/campaign.rs`):
 //!   synthesized programs are *run* under seeded randomized simulation
 //!   with injected faults, asserting the runtime counterpart of their

@@ -4,7 +4,9 @@
 //! byte-for-byte) and every synthesized program re-checked by the
 //! model checker as an independent oracle. With `--features
 //! slow-reference` every case also checks the work-stealing build
-//! engine at 2 threads against the sequential reference build.
+//! engine at 2 threads against the sequential reference build, and the
+//! interned explorer and CSR model checker against their reference
+//! oracles on the synthesized program.
 //!
 //! The seed matrix is fixed (1..=60) so CI runs are reproducible; a
 //! failing seed can be replayed with

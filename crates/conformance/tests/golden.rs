@@ -4,11 +4,11 @@
 //! Regenerate after an intentional pipeline change with
 //! `UPDATE_GOLDEN=1 cargo test -p ftsyn-conformance --test golden`.
 
-use ftsyn::guarded::{BoolExpr, FaultAction, PropAssign};
+use ftsyn::guarded::{BoolExpr, FaultAction, Program, PropAssign};
 use ftsyn::problems::{barrier, mutex, readers_writers, wire};
 use ftsyn::{
-    synthesize, synthesize_governed, Budget, Governor, SynthesisProblem, Tolerance,
-    ToleranceAssignment,
+    cross_check_kernels, same_exploration, synthesize, synthesize_governed, Budget, Governor,
+    SynthesisProblem, Tolerance, ToleranceAssignment,
 };
 use ftsyn_conformance::golden::assert_golden;
 use ftsyn_conformance::render::{render_program, render_solved};
@@ -18,6 +18,18 @@ fn check(name: &str, mut problem: SynthesisProblem) {
     let s = synthesize(&mut problem).unwrap_solved();
     assert!(s.verification.ok(), "{name}: {:?}", s.verification.failures);
     assert_golden(name, &render_solved(&problem, &s));
+    same_kernels(name, &mut problem, &s.program);
+}
+
+/// The interned explorer and the CSR checker against their reference
+/// oracles on a golden program, state for state and subformula for
+/// subformula.
+fn same_kernels(name: &str, problem: &mut SynthesisProblem, program: &Program) {
+    let states = cross_check_kernels(problem, program).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert!(
+        states > 0,
+        "{name}: the extracted program must be executable"
+    );
 }
 
 #[test]
@@ -74,6 +86,11 @@ fn multitolerance_mutex4() {
     assert_golden(
         "multitolerance-mutex4-P1-nonmasking",
         &ftsyn_conformance::render::render_solved(&problem, &s),
+    );
+    same_kernels(
+        "multitolerance-mutex4-P1-nonmasking",
+        &mut problem,
+        &s.program,
     );
 }
 
@@ -153,7 +170,9 @@ fn wire_stuck_at() {
     // guarded-command system. Its program rendering and explored
     // state-space size are pinned instead.
     let w = wire::build(None);
-    let ex = ftsyn::guarded::interp::explore(&w.program, &w.faults, &w.props).expect("explore");
+    let ex = same_exploration(&w.program, &w.faults, &w.props)
+        .unwrap_or_else(|e| panic!("wire-stuck-at: {e}"))
+        .expect("explore");
     let text = format!(
         "states: {} ({} fault edges)\nprogram:\n{}",
         ex.kripke.len(),

@@ -1717,11 +1717,17 @@ fn accept(
                 return AcceptOutcome::Aborted(reason);
             }
         }
-        let Ok(ex) = explore(&program, &problem.faults, &problem.props) else {
+        let t_explore = Instant::now();
+        let explored = explore(&program, &problem.faults, &problem.props);
+        extract_profile.explore_time += t_explore.elapsed();
+        let Ok(ex) = explored else {
             break false;
         };
         extract_profile.explored_states = ex.kripke.len();
-        if verify_semantic_ok(problem, &ex.kripke) {
+        let t_recheck = Instant::now();
+        let ok = verify_semantic_ok(problem, &ex.kripke);
+        extract_profile.recheck_time += t_recheck.elapsed();
+        if ok {
             break true;
         }
         if extract_profile.refinement_rounds >= refine_cap {

@@ -85,6 +85,126 @@ pub fn check_program(
     })
 }
 
+/// Cross-checks the production explorer and CTL checker against their
+/// reference oracles on `program`: both explorers must return the same
+/// `Result` ([`same_exploration`]), and on the explored structure both
+/// checkers must compute the same satisfaction vector for every
+/// subformula of the specification and of every tolerance label in use,
+/// under the problem's semantics. Returns the number of explored states
+/// (0 when exploration failed, identically, in both).
+///
+/// # Errors
+///
+/// Describes the first difference found.
+#[cfg(feature = "slow-reference")]
+pub fn cross_check_kernels(
+    problem: &mut SynthesisProblem,
+    program: &Program,
+) -> Result<usize, String> {
+    use ftsyn_ctl::Formula;
+    use ftsyn_kripke::{reference, Checker};
+
+    let Ok(ex) = same_exploration(program, &problem.faults, &problem.props)? else {
+        return Ok(0);
+    };
+    let mut roots = vec![problem.spec.formula(&mut problem.arena)];
+    for tol in problem.tolerance.distinct() {
+        roots.extend(problem.label_tol_formulas(tol));
+    }
+    let arena = &problem.arena;
+    // Every subformula once, children first.
+    let mut seen = vec![false; arena.len()];
+    let mut order = Vec::new();
+    let mut stack: Vec<(ftsyn_ctl::FormulaId, bool)> = roots.iter().map(|&f| (f, false)).collect();
+    while let Some((f, expanded)) = stack.pop() {
+        if expanded {
+            order.push(f);
+            continue;
+        }
+        if std::mem::replace(&mut seen[f.index()], true) {
+            continue;
+        }
+        stack.push((f, true));
+        match arena.get(f) {
+            Formula::True | Formula::False | Formula::Prop(_) | Formula::NegProp(_) => {}
+            Formula::Ax(_, g) | Formula::Ex(_, g) => stack.push((g, false)),
+            Formula::And(a, b)
+            | Formula::Or(a, b)
+            | Formula::Au(a, b)
+            | Formula::Eu(a, b)
+            | Formula::Aw(a, b)
+            | Formula::Ew(a, b) => stack.extend([(a, false), (b, false)]),
+        }
+    }
+    let semantics = crate::verify::semantics_of(problem.mode);
+    let mut ck = Checker::new(&ex.kripke, semantics);
+    let mut rk = reference::Checker::new(&ex.kripke, semantics);
+    for f in order {
+        if ck.eval(arena, f) != rk.eval(arena, f) {
+            return Err(format!(
+                "checkers disagree on `{}` over {} explored states",
+                ftsyn_ctl::print::render(arena, &problem.props, f),
+                ex.kripke.len()
+            ));
+        }
+    }
+    if ck.dead_end_free() != rk.dead_end_free() {
+        return Err("checkers disagree on dead-end freedom".into());
+    }
+    Ok(ex.kripke.len())
+}
+
+/// Explores `program` with both the production explorer and the
+/// reference one and returns their common result.
+///
+/// # Errors
+///
+/// Describes the first difference: a state count, the initial states, or
+/// the first state whose configuration, content, successor list or
+/// predecessor list differs, else the error or the interning index.
+#[cfg(feature = "slow-reference")]
+pub fn same_exploration(
+    program: &Program,
+    faults: &[ftsyn_guarded::FaultAction],
+    props: &ftsyn_ctl::PropTable,
+) -> Result<Result<ftsyn_guarded::interp::Exploration, ExploreError>, String> {
+    let fast = explore(program, faults, props);
+    let slow = ftsyn_guarded::interp::reference::explore(program, faults, props);
+    if let (Ok(a), Ok(b)) = (&fast, &slow) {
+        let (ka, kb) = (&a.kripke, &b.kripke);
+        if ka.len() != kb.len() {
+            return Err(format!(
+                "explorers disagree: {} vs {} states",
+                ka.len(),
+                kb.len()
+            ));
+        }
+        if ka.init_states() != kb.init_states() {
+            return Err("explorers disagree on the initial states".into());
+        }
+        for s in ka.state_ids() {
+            let what = if a.configs[s.index()] != b.configs[s.index()] {
+                "configuration"
+            } else if ka.state(s) != kb.state(s) {
+                "labeled state"
+            } else if ka.succ(s) != kb.succ(s) {
+                "successors"
+            } else if ka.pred(s) != kb.pred(s) {
+                "predecessors"
+            } else {
+                continue;
+            };
+            return Err(format!("explorers disagree on the {what} of state {s:?}"));
+        }
+    }
+    match (&fast, &slow) {
+        (Ok(a), Ok(b)) if a != b => Err("explorers disagree on the interning index".into()),
+        (Err(a), Err(b)) if a != b => Err(format!("explorers disagree: `{a}` vs `{b}`")),
+        (Ok(_), Err(e)) | (Err(e), Ok(_)) => Err(format!("only one explorer failed: `{e}`")),
+        _ => Ok(fast),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

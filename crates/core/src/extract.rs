@@ -17,6 +17,7 @@ use ftsyn_guarded::interp::corrupt_branches;
 use ftsyn_guarded::{BoolExpr, LocalState, ProcArc, Process, Program, SharedVar};
 use ftsyn_kripke::{Checker, FtKripke, PropSet, StateId, TransKind};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::time::Duration;
 
 /// Default cap on guard-refinement rounds in the in-pipeline
 /// extraction-verification stage, used when the governor's budget does
@@ -57,6 +58,13 @@ pub struct ExtractProfile {
     /// Whether the extracted program's explored structure passed
     /// semantic verification.
     pub verified: bool,
+    /// Time spent interpreting the extracted program under faults
+    /// (`interp::explore`), summed over refinement rounds.
+    pub explore_time: Duration,
+    /// Time spent re-checking the explored structures (the semantic
+    /// verification of each round, failure diagnostics included),
+    /// summed over refinement rounds.
+    pub recheck_time: Duration,
 }
 
 /// Introduces the disambiguating shared variables into `model` (mutating

@@ -65,6 +65,8 @@ pub mod problems;
 
 pub use cegis::{cegis_synthesize, cegis_synthesize_with_config, CegisConfig, CegisProfile};
 pub use check::{check_program, CheckError, CheckReport};
+#[cfg(feature = "slow-reference")]
+pub use check::{cross_check_kernels, same_exploration};
 pub use extract::{
     extract_program, introduce_shared_variables, refine_guards, ExtractProfile,
     SharedIntroduction, DEFAULT_EXTRACT_REFINE_ROUNDS,

@@ -12,7 +12,7 @@ use crate::problem::SynthesisProblem;
 use crate::unravel::{unravel_governed, unravel_mode, Unraveled};
 use crate::verify::{verify, verify_semantic, verify_semantic_ok, Failure, FailureKind, Verification};
 use ftsyn_ctl::Closure;
-use ftsyn_guarded::interp::{explore, Config};
+use ftsyn_guarded::interp::explore;
 use ftsyn_guarded::{fault_set_size, Program};
 use ftsyn_kripke::{bisimulation_quotient, FtKripke};
 use ftsyn_tableau::{
@@ -413,6 +413,19 @@ pub fn synthesize_resume(
     synthesize_impl(problem, plan, gov, session).map(|(outcome, _)| outcome)
 }
 
+/// The failure summary of a rejected extraction round's explored
+/// structure, timed into the profile's re-check ledger.
+fn failure_summary(
+    problem: &mut SynthesisProblem,
+    explored: &ftsyn_kripke::FtKripke,
+    profile: &mut ExtractProfile,
+) -> String {
+    let t_recheck = Instant::now();
+    let summary = verify_semantic(problem, explored).failure_summary();
+    profile.recheck_time += t_recheck.elapsed();
+    summary
+}
+
 /// Packages an abort with final timing bookkeeping (mirrors the
 /// [`Impossibility`] return path: `elapsed`/`residual` reflect the
 /// truncated run).
@@ -706,7 +719,10 @@ fn synthesize_impl(
                 return Ok((aborted(Phase::Extract, reason, None, stats, start), fills));
             }
         }
-        let ex = match explore(&program, &problem.faults, &problem.props) {
+        let t_explore = Instant::now();
+        let explored = explore(&program, &problem.faults, &problem.props);
+        extract_profile.explore_time += t_explore.elapsed();
+        let ex = match explored {
             Ok(ex) => ex,
             Err(e) => {
                 extraction_failure = Some(format!("extracted program is not executable: {e}"));
@@ -714,19 +730,20 @@ fn synthesize_impl(
             }
         };
         extract_profile.explored_states = ex.kripke.len();
-        let off_configs: Vec<Config> = ex
+        extract_profile.off_model_states = ex
             .kripke
             .state_ids()
             .filter(|&s| !model_contents.contains(ex.kripke.state(s)))
-            .map(|s| ex.configs[s.index()].clone())
-            .collect();
-        extract_profile.off_model_states = off_configs.len();
-        if verify_semantic_ok(problem, &ex.kripke) {
+            .count();
+        let t_recheck = Instant::now();
+        let ok = verify_semantic_ok(problem, &ex.kripke);
+        extract_profile.recheck_time += t_recheck.elapsed();
+        if ok {
             extract_profile.verified = true;
             break;
         }
         if extract_profile.refinement_rounds >= refine_cap {
-            let summary = verify_semantic(problem, &ex.kripke).failure_summary();
+            let summary = failure_summary(problem, &ex.kripke, &mut extract_profile);
             extraction_failure = Some(format!(
                 "extraction verification still rejects after {} refinement round(s): \
                  {summary} ({} explored vs {} model states)",
@@ -740,7 +757,7 @@ fn synthesize_impl(
         extract_profile.refinement_rounds += 1;
         extract_profile.refined_arcs += changed;
         if changed == 0 {
-            let summary = verify_semantic(problem, &ex.kripke).failure_summary();
+            let summary = failure_summary(problem, &ex.kripke, &mut extract_profile);
             extraction_failure = Some(format!(
                 "extraction refinement made no progress: {summary} \
                  ({} explored vs {} model states)",

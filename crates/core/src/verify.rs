@@ -5,7 +5,8 @@
 use crate::problem::SynthesisProblem;
 use crate::unravel::Unraveled;
 use ftsyn_ctl::Closure;
-use ftsyn_kripke::{Checker, Semantics, StateRole, TransKind};
+use ftsyn_kripke::{Checker, PropSet, Semantics, StateRole, TransKind};
+use std::collections::HashMap;
 use ftsyn_tableau::{valuation_of, CertMode, Tableau};
 use std::fmt;
 
@@ -336,16 +337,27 @@ fn verify_semantic_impl(
     }
 
     // (3) Fault closure: every enabled action is represented, outcome by
-    // outcome, at every state.
+    // outcome, at every state. Enabledness and outcomes depend on the
+    // valuation alone, so they are computed once per distinct valuation
+    // (an explored program structure has tens of thousands of states
+    // over a few hundred valuations).
+    let mut required: HashMap<&PropSet, Vec<(usize, Vec<PropSet>)>> = HashMap::new();
     for s in model.state_ids() {
         let valuation = &model.state(s).props;
-        for (ai, action) in problem.faults.iter().enumerate() {
-            if !action.enabled(valuation) {
-                continue;
-            }
-            for phi in action.outcomes(valuation, problem.props.len()) {
+        let per_action = required.entry(valuation).or_insert_with(|| {
+            problem
+                .faults
+                .iter()
+                .enumerate()
+                .filter(|(_, action)| action.enabled(valuation))
+                .map(|(ai, action)| (ai, action.outcomes(valuation, problem.props.len())))
+                .collect()
+        });
+        for (ai, outcomes) in per_action.iter() {
+            let (ai, action) = (*ai, &problem.faults[*ai]);
+            for phi in outcomes {
                 let covered = model.succ(s).iter().any(|e| {
-                    e.kind == TransKind::Fault(ai) && model.state(e.to).props == phi
+                    e.kind == TransKind::Fault(ai) && model.state(e.to).props == *phi
                 });
                 if !covered {
                     v.fault_closed = false;

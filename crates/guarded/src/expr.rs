@@ -47,6 +47,41 @@ impl BoolExpr {
         }
     }
 
+    /// Partially evaluates the expression under a fixed valuation: every
+    /// proposition is replaced by its truth value and constants are
+    /// folded away, leaving `Const` or an expression over shared
+    /// variables only. For every `shared`,
+    /// `self.specialize(props).eval(props, shared) == self.eval(props, shared)`.
+    pub fn specialize(&self, props: &PropSet) -> BoolExpr {
+        let fold = |es: &[BoolExpr], unit: bool| {
+            let mut rest = Vec::new();
+            for e in es {
+                match e.specialize(props) {
+                    BoolExpr::Const(b) if b == unit => {}
+                    BoolExpr::Const(_) => return BoolExpr::Const(!unit),
+                    r => rest.push(r),
+                }
+            }
+            match rest.len() {
+                0 => BoolExpr::Const(unit),
+                1 => rest.pop().expect("one member"),
+                _ if unit => BoolExpr::And(rest),
+                _ => BoolExpr::Or(rest),
+            }
+        };
+        match self {
+            BoolExpr::Const(b) => BoolExpr::Const(*b),
+            BoolExpr::Prop(p) => BoolExpr::Const(props.contains(*p)),
+            BoolExpr::Not(e) => match e.specialize(props) {
+                BoolExpr::Const(b) => BoolExpr::Const(!b),
+                r => BoolExpr::Not(Box::new(r)),
+            },
+            BoolExpr::VarEq(v, k) => BoolExpr::VarEq(*v, *k),
+            BoolExpr::And(es) => fold(es, true),
+            BoolExpr::Or(es) => fold(es, false),
+        }
+    }
+
     /// Whether the expression mentions any shared variable. Fault-action
     /// guards must not (Section 5.3: faults may overwrite but never read
     /// shared variables).
@@ -148,6 +183,47 @@ mod tests {
         assert!(e.reads_shared());
         let e2 = BoolExpr::Not(Box::new(BoolExpr::VarEq(1, 1)));
         assert!(e2.reads_shared());
+    }
+
+    #[test]
+    fn specialize_agrees_with_eval() {
+        use ftsyn_prng::XorShift64;
+        fn random(rng: &mut XorShift64, depth: usize) -> BoolExpr {
+            match rng.below(if depth == 0 { 3 } else { 6 }) {
+                0 => BoolExpr::Const(rng.chance(0.5)),
+                1 => BoolExpr::Prop(PropId(rng.below(3) as u32)),
+                2 => BoolExpr::VarEq(rng.below(2), rng.range(1, 3) as u32),
+                3 => BoolExpr::Not(Box::new(random(rng, depth - 1))),
+                k => {
+                    let es = (0..rng.below(4)).map(|_| random(rng, depth - 1)).collect();
+                    if k == 4 {
+                        BoolExpr::And(es)
+                    } else {
+                        BoolExpr::Or(es)
+                    }
+                }
+            }
+        }
+        let mut rng = XorShift64::new(0x5BEC_0001);
+        for case in 0..500 {
+            let e = random(&mut rng, 4);
+            for mask in 0..8u32 {
+                let props = PropSet::from_iter_with_capacity(
+                    3,
+                    (0..3).filter(|b| mask & (1 << b) != 0).map(PropId),
+                );
+                let residual = e.specialize(&props);
+                for shared in [[1, 1], [1, 2], [2, 1], [2, 2]] {
+                    // The residual reads no proposition any more.
+                    let none = PropSet::with_capacity(3);
+                    assert_eq!(
+                        residual.eval(&none, &shared),
+                        e.eval(&props, &shared),
+                        "case {case}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,11 +9,16 @@
 //! generate M_F").
 
 use crate::action::{FaultAction, SharedCorruption};
+use crate::expr::BoolExpr;
 use crate::program::Program;
 use ftsyn_ctl::{Owner, PropTable};
 use ftsyn_kripke::{FtKripke, PropSet, State, StateId, TransKind};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::rc::Rc;
+
+#[cfg(any(test, feature = "slow-reference"))]
+pub mod reference;
 
 /// A runtime configuration: local-state indices plus shared values.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -67,7 +72,7 @@ const MAX_STATES: usize = 1_000_000;
 
 /// Result of exploring a program: the generated structure plus the
 /// configuration of every state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Exploration {
     /// The generated fault-tolerant Kripke structure.
     pub kripke: FtKripke,
@@ -83,6 +88,17 @@ pub struct Exploration {
 /// valuation, each process's new local state is resolved by matching the
 /// perturbed valuation restricted to that process's propositions.
 ///
+/// A configuration is handled as a pair of dense ids, one for its locals
+/// tuple and one for its shared vector, each interned once. Everything
+/// that depends on the locals alone — the valuation, the arcs leaving
+/// each local state with their guards specialized to that valuation, and
+/// each fault action's enabledness and resolved outcome locals — is
+/// computed once per distinct locals tuple; shared-vector assignments
+/// and corruptions are memoized per (arc or action, shared id). The
+/// result is the one the configuration-at-a-time exploration produces:
+/// the same states in the same order, the same edges in the same order,
+/// and the same error at the same point (see DESIGN.md §11).
+///
 /// # Errors
 ///
 /// See [`ExploreError`].
@@ -91,117 +107,330 @@ pub fn explore(
     faults: &[FaultAction],
     props: &PropTable,
 ) -> Result<Exploration, ExploreError> {
-    let mut kripke = FtKripke::new();
-    let mut configs: Vec<Config> = Vec::new();
-    let mut by_config: HashMap<Config, StateId> = HashMap::new();
+    let mut tables = Tables::new(program, faults, props);
+    let mut graph = Graph::default();
 
-    // Per-process proposition masks for fault-outcome mapping.
-    let proc_masks: Vec<PropSet> = (0..program.processes.len())
-        .map(|i| {
-            PropSet::from_iter_with_capacity(
-                props.len(),
-                props.iter().filter(|&p| props.owner(p) == Owner::Process(i)),
-            )
-        })
-        .collect();
-
-    let init = Config {
-        locals: program.init_locals.clone(),
-        shared: program.init_shared.clone(),
-    };
-    let intern = |cfg: Config,
-                      kripke: &mut FtKripke,
-                      configs: &mut Vec<Config>,
-                      by_config: &mut HashMap<Config, StateId>|
-     -> Result<StateId, ExploreError> {
-        if let Some(&id) = by_config.get(&cfg) {
-            return Ok(id);
-        }
-        let st = State {
-            props: program.valuation(&cfg.locals),
-            shared: cfg.shared.clone(),
-        };
-        if kripke.find_state(&st).is_some() {
-            return Err(ExploreError::AmbiguousState);
-        }
-        let id = kripke.intern_state(st);
-        by_config.insert(cfg.clone(), id);
-        configs.push(cfg);
-        if configs.len() > MAX_STATES {
-            return Err(ExploreError::StateSpaceTooLarge(MAX_STATES));
-        }
-        Ok(id)
-    };
-
-    let init_id = intern(init, &mut kripke, &mut configs, &mut by_config)?;
-    kripke.add_init(init_id);
+    let init_l = tables.intern_locals(&program.init_locals);
+    let init_s = tables.intern_shared(&program.init_shared);
+    let (init_id, _) = graph.state(&tables, init_l, init_s)?;
+    graph.kripke.add_init(init_id);
     let mut work = vec![init_id];
 
     while let Some(sid) = work.pop() {
-        let cfg = configs[sid.index()].clone();
-        let valuation = program.valuation(&cfg.locals);
+        let (l, s) = graph.key[sid.index()];
+        let moves = tables.moves(l);
 
         // Program transitions: any enabled arc of any process.
-        for (pi, proc) in program.processes.iter().enumerate() {
-            for arc in &proc.arcs {
-                if arc.from != cfg.locals[pi] || !arc.guard.eval(&valuation, &cfg.shared) {
+        for m in &moves.arcs {
+            if let Some(guard) = &m.guard {
+                if !guard.eval(&moves.valuation, &tables.shared[s as usize]) {
                     continue;
                 }
-                let mut next = cfg.clone();
-                next.locals[pi] = arc.to;
-                for &(v, k) in &arc.assigns {
-                    if v < next.shared.len() {
-                        next.shared[v] = k;
-                    }
-                }
-                let before = configs.len();
-                let tid = intern(next, &mut kripke, &mut configs, &mut by_config)?;
-                if configs.len() > before {
-                    work.push(tid);
-                }
-                kripke.add_edge(sid, TransKind::Proc(pi), tid);
             }
+            let next = tables.assign(m.process, m.arc, s);
+            let (tid, fresh) = graph.state(&tables, m.to, next)?;
+            if fresh {
+                work.push(tid);
+            }
+            graph.kripke.add_edge(sid, TransKind::Proc(m.process), tid);
         }
 
-        // Fault transitions.
-        for (fi, action) in faults.iter().enumerate() {
-            if !action.enabled(&valuation) {
-                continue;
-            }
-            for outcome in action.outcomes(&valuation, props.len()) {
-                // Resolve each process's new local state.
-                let mut locals = Vec::with_capacity(program.processes.len());
-                for (pi, proc) in program.processes.iter().enumerate() {
-                    let local_val = outcome.intersect(&proc_masks[pi]);
-                    match proc.state_by_props(&local_val) {
-                        Some(li) => locals.push(li),
-                        None => {
-                            return Err(ExploreError::UnmappableFaultOutcome {
-                                action: action.name().to_owned(),
-                                process: pi,
-                            })
-                        }
+        // Fault transitions, with the shared-variable corruption
+        // branches of Section 5.3.
+        for f in &moves.faults {
+            let mut branches = None;
+            for outcome in &f.outcomes {
+                let locals = match *outcome {
+                    Ok(locals) => locals,
+                    Err(process) => {
+                        return Err(ExploreError::UnmappableFaultOutcome {
+                            action: faults[f.action].name().to_owned(),
+                            process,
+                        })
                     }
-                }
-                // Shared-variable corruption branches (Section 5.3).
-                let shared_branches = corrupt_branches(program, &cfg.shared, action);
-                for shared in shared_branches {
-                    let next = Config {
-                        locals: locals.clone(),
-                        shared,
-                    };
-                    let before = configs.len();
-                    let tid = intern(next, &mut kripke, &mut configs, &mut by_config)?;
-                    if configs.len() > before {
+                };
+                let b = *branches.get_or_insert_with(|| tables.corrupt(f.action, s));
+                for &next in &tables.branches[b] {
+                    let (tid, fresh) = graph.state(&tables, locals, next)?;
+                    if fresh {
                         work.push(tid);
                     }
-                    kripke.add_edge(sid, TransKind::Fault(fi), tid);
+                    graph.kripke.add_edge(sid, TransKind::Fault(f.action), tid);
                 }
             }
         }
     }
 
-    Ok(Exploration { kripke, configs })
+    graph.kripke.reindex();
+    Ok(Exploration {
+        kripke: graph.kripke,
+        configs: graph.configs,
+    })
+}
+
+/// The next dense id of a table holding `n` entries.
+fn dense(n: usize) -> u32 {
+    u32::try_from(n).expect("interned ids fit in u32")
+}
+
+/// An arc leaving one of the locals tuple's local states.
+struct ArcMove {
+    process: usize,
+    /// Index of the arc within its process.
+    arc: usize,
+    /// Locals id after the move.
+    to: u32,
+    /// The guard specialized to the tuple's valuation; `None` when it is
+    /// true outright (arcs whose guard is false there are dropped).
+    guard: Option<BoolExpr>,
+}
+
+/// A fault action enabled in the locals tuple's valuation.
+struct FaultMove {
+    action: usize,
+    /// Per outcome, in `FaultAction::outcomes` order: the resolved locals
+    /// id, or the first process whose local state it cannot resolve (the
+    /// list ends there, as exploration stops at that outcome).
+    outcomes: Vec<Result<u32, usize>>,
+}
+
+/// Everything that depends on a locals tuple alone.
+struct Moves {
+    valuation: PropSet,
+    arcs: Vec<ArcMove>,
+    faults: Vec<FaultMove>,
+}
+
+/// The interned locals tuples, valuations and shared vectors, the move
+/// table and the shared-vector memos.
+struct Tables<'a> {
+    program: &'a Program,
+    faults: &'a [FaultAction],
+    num_props: usize,
+    /// Per-process proposition masks for fault-outcome mapping.
+    proc_masks: Vec<PropSet>,
+    locals: Vec<Vec<usize>>,
+    locals_ids: HashMap<Vec<usize>, u32>,
+    /// Valuation id of each locals id.
+    valuation_of: Vec<u32>,
+    valuations: Vec<PropSet>,
+    valuation_ids: HashMap<PropSet, u32>,
+    shared: Vec<Vec<u32>>,
+    shared_ids: HashMap<Vec<u32>, u32>,
+    /// Move table by locals id, filled when a state with that tuple is
+    /// first expanded.
+    moves: Vec<Option<Rc<Moves>>>,
+    /// (process, arc, shared id) → shared id after the arc's assignment.
+    assigned: HashMap<(usize, usize, u32), u32>,
+    /// (action, shared id) → index into `branches`.
+    corrupted: HashMap<(usize, u32), usize>,
+    /// Corruption branch lists, as shared ids.
+    branches: Vec<Vec<u32>>,
+}
+
+impl<'a> Tables<'a> {
+    fn new(program: &'a Program, faults: &'a [FaultAction], props: &PropTable) -> Tables<'a> {
+        let proc_masks = (0..program.processes.len())
+            .map(|i| {
+                PropSet::from_iter_with_capacity(
+                    props.len(),
+                    props
+                        .iter()
+                        .filter(|&p| props.owner(p) == Owner::Process(i)),
+                )
+            })
+            .collect();
+        Tables {
+            program,
+            faults,
+            num_props: props.len(),
+            proc_masks,
+            locals: Vec::new(),
+            locals_ids: HashMap::new(),
+            valuation_of: Vec::new(),
+            valuations: Vec::new(),
+            valuation_ids: HashMap::new(),
+            shared: Vec::new(),
+            shared_ids: HashMap::new(),
+            moves: Vec::new(),
+            assigned: HashMap::new(),
+            corrupted: HashMap::new(),
+            branches: Vec::new(),
+        }
+    }
+
+    fn intern_locals(&mut self, locals: &[usize]) -> u32 {
+        if let Some(&id) = self.locals_ids.get(locals) {
+            return id;
+        }
+        let valuation = self.program.valuation(locals);
+        let v = match self.valuation_ids.get(&valuation) {
+            Some(&v) => v,
+            None => {
+                let v = dense(self.valuations.len());
+                self.valuation_ids.insert(valuation.clone(), v);
+                self.valuations.push(valuation);
+                v
+            }
+        };
+        let id = dense(self.locals.len());
+        self.locals_ids.insert(locals.to_vec(), id);
+        self.locals.push(locals.to_vec());
+        self.valuation_of.push(v);
+        self.moves.push(None);
+        id
+    }
+
+    fn intern_shared(&mut self, shared: &[u32]) -> u32 {
+        if let Some(&id) = self.shared_ids.get(shared) {
+            return id;
+        }
+        let id = dense(self.shared.len());
+        self.shared_ids.insert(shared.to_vec(), id);
+        self.shared.push(shared.to_vec());
+        id
+    }
+
+    /// The move table of locals id `l`, built on first use.
+    fn moves(&mut self, l: u32) -> Rc<Moves> {
+        if let Some(m) = &self.moves[l as usize] {
+            return Rc::clone(m);
+        }
+        let program = self.program;
+        let locals = self.locals[l as usize].clone();
+        let valuation = self.valuations[self.valuation_of[l as usize] as usize].clone();
+        let mut arcs = Vec::new();
+        for (pi, proc) in program.processes.iter().enumerate() {
+            for (ai, arc) in proc.arcs.iter().enumerate() {
+                if arc.from != locals[pi] {
+                    continue;
+                }
+                let guard = match arc.guard.specialize(&valuation) {
+                    BoolExpr::Const(false) => continue,
+                    BoolExpr::Const(true) => None,
+                    residual => Some(residual),
+                };
+                let mut next = locals.clone();
+                next[pi] = arc.to;
+                arcs.push(ArcMove {
+                    process: pi,
+                    arc: ai,
+                    to: self.intern_locals(&next),
+                    guard,
+                });
+            }
+        }
+        let mut faults = Vec::new();
+        for (fi, action) in self.faults.iter().enumerate() {
+            if !action.enabled(&valuation) {
+                continue;
+            }
+            let mut outcomes = Vec::new();
+            'outcomes: for outcome in action.outcomes(&valuation, self.num_props) {
+                // Resolve each process's new local state.
+                let mut next = Vec::with_capacity(program.processes.len());
+                for (pi, proc) in program.processes.iter().enumerate() {
+                    match proc.state_by_props(&outcome.intersect(&self.proc_masks[pi])) {
+                        Some(li) => next.push(li),
+                        None => {
+                            outcomes.push(Err(pi));
+                            break 'outcomes;
+                        }
+                    }
+                }
+                outcomes.push(Ok(self.intern_locals(&next)));
+            }
+            faults.push(FaultMove {
+                action: fi,
+                outcomes,
+            });
+        }
+        let m = Rc::new(Moves {
+            valuation,
+            arcs,
+            faults,
+        });
+        self.moves[l as usize] = Some(Rc::clone(&m));
+        m
+    }
+
+    /// The shared id after arc `arc` of process `pi` fires from shared
+    /// id `s`.
+    fn assign(&mut self, pi: usize, arc: usize, s: u32) -> u32 {
+        let key = (pi, arc, s);
+        if let Some(&next) = self.assigned.get(&key) {
+            return next;
+        }
+        let mut next = self.shared[s as usize].clone();
+        for &(v, k) in &self.program.processes[pi].arcs[arc].assigns {
+            if v < next.len() {
+                next[v] = k;
+            }
+        }
+        let next = self.intern_shared(&next);
+        self.assigned.insert(key, next);
+        next
+    }
+
+    /// Index into `branches` of fault action `action`'s corruption
+    /// branches from shared id `s` ([`corrupt_branches`], interned).
+    fn corrupt(&mut self, action: usize, s: u32) -> usize {
+        let key = (action, s);
+        if let Some(&b) = self.corrupted.get(&key) {
+            return b;
+        }
+        let ids = corrupt_branches(self.program, &self.shared[s as usize], &self.faults[action])
+            .iter()
+            .map(|branch| self.intern_shared(branch))
+            .collect();
+        let b = self.branches.len();
+        self.branches.push(ids);
+        self.corrupted.insert(key, b);
+        b
+    }
+}
+
+/// The structure under construction, with the configuration and state
+/// indexes of the explored pairs.
+#[derive(Default)]
+struct Graph {
+    kripke: FtKripke,
+    configs: Vec<Config>,
+    /// (locals id, shared id) of each state id.
+    key: Vec<(u32, u32)>,
+    /// (locals id, shared id) → state id.
+    by_config: HashMap<(u32, u32), StateId>,
+    /// (valuation id, shared id) of every state: the labeled states.
+    labeled: HashSet<(u32, u32)>,
+}
+
+impl Graph {
+    /// The state of configuration `(l, s)`, created if new (then `true`).
+    fn state(&mut self, t: &Tables<'_>, l: u32, s: u32) -> Result<(StateId, bool), ExploreError> {
+        if let Some(&id) = self.by_config.get(&(l, s)) {
+            return Ok((id, false));
+        }
+        let v = t.valuation_of[l as usize];
+        if !self.labeled.insert((v, s)) {
+            return Err(ExploreError::AmbiguousState);
+        }
+        let shared = &t.shared[s as usize];
+        // Distinct by the `labeled` test; the index is built at the end.
+        let id = self.kripke.push_state(State {
+            props: t.valuations[v as usize].clone(),
+            shared: shared.clone(),
+        });
+        self.by_config.insert((l, s), id);
+        self.key.push((l, s));
+        self.configs.push(Config {
+            locals: t.locals[l as usize].clone(),
+            shared: shared.clone(),
+        });
+        if self.configs.len() > MAX_STATES {
+            return Err(ExploreError::StateSpaceTooLarge(MAX_STATES));
+        }
+        Ok((id, true))
+    }
 }
 
 /// All shared-value vectors resulting from an action's corruption list,
@@ -396,5 +625,184 @@ mod tests {
             .unwrap()
             .to;
         assert_eq!(ex.kripke.state(target).shared[0], 1);
+    }
+}
+
+/// The interned explorer against the configuration-keyed one
+/// ([`reference::explore`]) on seeded random programs: shared variables
+/// with out-of-range reads and writes, `Value`/`Arbitrary` corruption
+/// (out-of-domain values included), nondeterministic fault outcomes,
+/// outcomes no local state matches, and local states with equal
+/// valuations (ambiguous states).
+#[cfg(test)]
+mod differential {
+    use super::*;
+    use crate::action::PropAssign;
+    use crate::program::{LocalState, ProcArc, Process, SharedVar};
+    use ftsyn_ctl::PropId;
+    use ftsyn_prng::XorShift64;
+
+    /// A random guard; `shared = None` draws no shared-variable tests.
+    fn guard(
+        rng: &mut XorShift64,
+        props: &[PropId],
+        shared: Option<usize>,
+        depth: usize,
+    ) -> BoolExpr {
+        let kind = if depth == 0 {
+            rng.below(3)
+        } else {
+            rng.below(6)
+        };
+        match (kind, shared) {
+            (0, _) => BoolExpr::Const(rng.chance(0.8)),
+            (2, Some(vars)) => BoolExpr::VarEq(rng.below(vars + 1), rng.below(4) as u32),
+            (1 | 2, _) => BoolExpr::Prop(*rng.choose(props).expect("props")),
+            (3, _) => BoolExpr::Not(Box::new(guard(rng, props, shared, depth - 1))),
+            _ => {
+                let es = (0..rng.below(3))
+                    .map(|_| guard(rng, props, shared, depth - 1))
+                    .collect();
+                if kind == 4 {
+                    BoolExpr::And(es)
+                } else {
+                    BoolExpr::Or(es)
+                }
+            }
+        }
+    }
+
+    fn random_case(rng: &mut XorShift64) -> (Program, Vec<FaultAction>, PropTable) {
+        let mut table = PropTable::new();
+        let owned: Vec<Vec<PropId>> = (0..rng.range(1, 4))
+            .map(|i| {
+                (0..rng.range(2, 4))
+                    .map(|j| table.add(format!("p{i}_{j}"), Owner::Process(i)).unwrap())
+                    .collect()
+            })
+            .collect();
+        let all: Vec<PropId> = owned.iter().flatten().copied().collect();
+        let n = table.len();
+        let shared: Vec<SharedVar> = (0..rng.below(3))
+            .map(|v| SharedVar {
+                name: format!("x{v}"),
+                domain: rng.range(1, 4) as u32,
+            })
+            .collect();
+        let vars = shared.len();
+        let processes: Vec<Process> = owned
+            .iter()
+            .enumerate()
+            .map(|(i, mine)| {
+                // Random valuations, so two local states may share one.
+                let states: Vec<LocalState> = (0..rng.range(2, 5))
+                    .map(|k| LocalState {
+                        name: format!("s{i}_{k}"),
+                        props: PropSet::from_iter_with_capacity(
+                            n,
+                            mine.iter().copied().filter(|_| rng.chance(0.5)),
+                        ),
+                    })
+                    .collect();
+                let arcs = (0..rng.below(2 * states.len() + 1))
+                    .map(|_| ProcArc {
+                        from: rng.below(states.len()),
+                        to: rng.below(states.len()),
+                        guard: guard(rng, &all, Some(vars), 3),
+                        assigns: (0..rng.below(3))
+                            .map(|_| (rng.below(vars + 1), rng.range(1, 4) as u32))
+                            .collect(),
+                    })
+                    .collect();
+                Process {
+                    index: i,
+                    states,
+                    arcs,
+                }
+            })
+            .collect();
+        let faults = (0..rng.below(4))
+            .map(|a| {
+                let victim = rng.below(owned.len());
+                let mut assigns: Vec<(PropId, PropAssign)> = Vec::new();
+                if rng.chance(0.5) {
+                    // Move the victim to one of its local states: always
+                    // mappable.
+                    let states = &processes[victim].states;
+                    let target = &states[rng.below(states.len())].props;
+                    for &p in &owned[victim] {
+                        let how = if target.contains(p) {
+                            PropAssign::True
+                        } else {
+                            PropAssign::False
+                        };
+                        assigns.push((p, how));
+                    }
+                } else {
+                    for &p in &owned[victim] {
+                        if rng.chance(0.6) {
+                            let how = [PropAssign::True, PropAssign::False, PropAssign::NonDet];
+                            assigns.push((p, *rng.choose(&how).expect("nonempty")));
+                        }
+                    }
+                }
+                let corrupt = (0..rng.below(3))
+                    .map(|_| {
+                        let how = if rng.chance(0.5) {
+                            SharedCorruption::Arbitrary
+                        } else {
+                            SharedCorruption::Value(rng.below(5) as u32)
+                        };
+                        (rng.below(vars + 1), how)
+                    })
+                    .collect();
+                FaultAction::new(format!("f{a}"), guard(rng, &all, None, 2), assigns)
+                    .unwrap()
+                    .with_shared_corruption(corrupt)
+            })
+            .collect();
+        let program = Program {
+            init_locals: processes
+                .iter()
+                .map(|p| rng.below(p.states.len()))
+                .collect(),
+            init_shared: shared
+                .iter()
+                .map(|v| rng.range(1, v.domain as usize + 1) as u32)
+                .collect(),
+            processes,
+            shared,
+            num_props: n,
+        };
+        (program, faults, table)
+    }
+
+    #[test]
+    fn explore_matches_the_reference_explorer() {
+        let mut rng = XorShift64::new(0xE4B_0001);
+        let (mut ok, mut unmappable, mut ambiguous, mut fault_edges) = (0, 0, 0, 0);
+        for case in 0..600 {
+            let (program, faults, table) = random_case(&mut rng);
+            let fast = explore(&program, &faults, &table);
+            assert_eq!(
+                fast,
+                reference::explore(&program, &faults, &table),
+                "case {case}"
+            );
+            match fast {
+                Ok(ex) => {
+                    ok += 1;
+                    fault_edges += ex.kripke.fault_edge_count();
+                }
+                Err(ExploreError::UnmappableFaultOutcome { .. }) => unmappable += 1,
+                Err(ExploreError::AmbiguousState) => ambiguous += 1,
+                Err(ExploreError::StateSpaceTooLarge(_)) => unreachable!("small programs"),
+            }
+        }
+        assert!(
+            ok >= 50 && unmappable >= 50 && ambiguous >= 50,
+            "{ok} ok, {unmappable} unmappable, {ambiguous} ambiguous"
+        );
+        assert!(fault_edges >= 300, "{fault_edges} fault edges");
     }
 }

@@ -24,9 +24,12 @@
 //! used by the decision procedure, so we implement the standard
 //! `j ∈ [0 : (i−1)]` reading.)
 
-use crate::structure::{FtKripke, StateId};
-use ftsyn_ctl::{Formula, FormulaArena, FormulaId};
-use std::collections::HashMap;
+use crate::structure::{FtKripke, StateId, TransKind};
+use ftsyn_ctl::{Formula, FormulaArena, FormulaId, PropId};
+use std::cell::OnceCell;
+
+#[cfg(any(test, feature = "slow-reference"))]
+pub mod reference;
 
 /// Which fullpaths the path quantifiers range over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -38,6 +41,12 @@ pub enum Semantics {
 }
 
 /// A memoizing model checker for one structure and one semantics.
+///
+/// Satisfaction vectors are memoized densely by formula id. What the
+/// operators read is built on first use, at most once per checker: a
+/// flat valuation matrix for literals, one successor CSR per process
+/// for `AXᵢ`/`EXᵢ`, and one path-predecessor CSR with successor counts
+/// for the until/unless fixpoints (DESIGN.md §11).
 ///
 /// # Examples
 ///
@@ -64,7 +73,44 @@ pub enum Semantics {
 pub struct Checker<'m> {
     model: &'m FtKripke,
     semantics: Semantics,
-    memo: HashMap<FormulaId, Vec<bool>>,
+    /// Satisfaction vectors, dense by formula id.
+    memo: Vec<Option<Vec<bool>>>,
+    /// Every state's valuation words, `stride` per state.
+    valuations: OnceCell<Valuations>,
+    /// Program successors of every state, one CSR per process.
+    proc_succ: OnceCell<Vec<Csr>>,
+    /// Path predecessors under the semantics, with successor counts.
+    path: OnceCell<PathPred>,
+}
+
+/// The valuations of all states as one flat bit matrix (rows padded with
+/// zero words, which reads out-of-capacity propositions as absent, as
+/// [`crate::PropSet::contains`] does).
+struct Valuations {
+    stride: usize,
+    words: Vec<u64>,
+}
+
+/// A compressed sparse row adjacency: row `s` is
+/// `targets[offsets[s]..offsets[s + 1]]`.
+struct Csr {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl Csr {
+    #[inline]
+    fn row(&self, s: usize) -> &[u32] {
+        &self.targets[self.offsets[s] as usize..self.offsets[s + 1] as usize]
+    }
+}
+
+/// The fixpoint adjacency of one semantics: the sources of each state's
+/// path-predecessor edges, and how many path-successor edges each state
+/// has (edges counted with multiplicity, as both lists hold them).
+struct PathPred {
+    pred: Csr,
+    succ_count: Vec<u32>,
 }
 
 impl<'m> Checker<'m> {
@@ -73,7 +119,10 @@ impl<'m> Checker<'m> {
         Checker {
             model,
             semantics,
-            memo: HashMap::new(),
+            memo: Vec::new(),
+            valuations: OnceCell::new(),
+            proc_succ: OnceCell::new(),
+            path: OnceCell::new(),
         }
     }
 
@@ -99,95 +148,95 @@ impl<'m> Checker<'m> {
         f: FormulaId,
         states: impl IntoIterator<Item = StateId>,
     ) -> bool {
-        let v = self.eval(arena, f).clone();
+        let v = self.eval(arena, f);
         states.into_iter().all(|s| v[s.index()])
     }
 
     /// The set of states (as a bool-per-state vector) satisfying `f`.
     pub fn eval(&mut self, arena: &FormulaArena, f: FormulaId) -> &Vec<bool> {
-        if !self.memo.contains_key(&f) {
-            let v = self.compute(arena, f);
-            self.memo.insert(f, v);
-        }
-        &self.memo[&f]
+        self.ensure(arena, f);
+        self.memo[f.index()].as_ref().expect("ensured above")
     }
 
-    fn compute(&mut self, arena: &FormulaArena, f: FormulaId) -> Vec<bool> {
+    /// Evaluates `f` and, first, its unevaluated subformulae.
+    fn ensure(&mut self, arena: &FormulaArena, f: FormulaId) {
+        if self.memo.len() <= f.index() {
+            self.memo.resize(arena.len().max(f.index() + 1), None);
+        }
+        if self.memo[f.index()].is_some() {
+            return;
+        }
+        let node = arena.get(f);
+        match node {
+            Formula::True | Formula::False | Formula::Prop(_) | Formula::NegProp(_) => {}
+            Formula::Ax(_, g) | Formula::Ex(_, g) => self.ensure(arena, g),
+            Formula::And(a, b)
+            | Formula::Or(a, b)
+            | Formula::Au(a, b)
+            | Formula::Eu(a, b)
+            | Formula::Aw(a, b)
+            | Formula::Ew(a, b) => {
+                self.ensure(arena, a);
+                self.ensure(arena, b);
+            }
+        }
+        let v = self.compute(node);
+        self.memo[f.index()] = Some(v);
+    }
+
+    /// The memoized vector of an evaluated formula.
+    fn get(&self, f: FormulaId) -> &[bool] {
+        self.memo[f.index()]
+            .as_deref()
+            .expect("children are evaluated first")
+    }
+
+    fn compute(&self, node: Formula) -> Vec<bool> {
         let n = self.model.len();
-        match arena.get(f) {
+        match node {
             Formula::True => vec![true; n],
             Formula::False => vec![false; n],
-            Formula::Prop(p) => self
-                .model
-                .state_ids()
-                .map(|s| self.model.state(s).props.contains(p))
-                .collect(),
-            Formula::NegProp(p) => self
-                .model
-                .state_ids()
-                .map(|s| !self.model.state(s).props.contains(p))
-                .collect(),
+            Formula::Prop(p) => self.prop(p, true),
+            Formula::NegProp(p) => self.prop(p, false),
             Formula::And(a, b) => {
-                let va = self.eval(arena, a).clone();
-                let vb = self.eval(arena, b);
-                va.iter().zip(vb.iter()).map(|(x, y)| *x && *y).collect()
+                let (va, vb) = (self.get(a), self.get(b));
+                va.iter().zip(vb).map(|(x, y)| *x && *y).collect()
             }
             Formula::Or(a, b) => {
-                let va = self.eval(arena, a).clone();
-                let vb = self.eval(arena, b);
-                va.iter().zip(vb.iter()).map(|(x, y)| *x || *y).collect()
+                let (va, vb) = (self.get(a), self.get(b));
+                va.iter().zip(vb).map(|(x, y)| *x || *y).collect()
             }
             Formula::Ax(i, g) => {
-                let vg = self.eval(arena, g).clone();
-                self.model
-                    .state_ids()
-                    .map(|s| {
-                        self.model
-                            .succ(s)
-                            .iter()
-                            .filter(|e| e.kind == crate::structure::TransKind::Proc(i))
-                            .all(|e| vg[e.to.index()])
-                    })
-                    .collect()
+                let vg = self.get(g);
+                match self.proc_succ().get(i) {
+                    Some(csr) => (0..n)
+                        .map(|s| csr.row(s).iter().all(|&t| vg[t as usize]))
+                        .collect(),
+                    None => vec![true; n],
+                }
             }
             Formula::Ex(i, g) => {
-                let vg = self.eval(arena, g).clone();
-                self.model
-                    .state_ids()
-                    .map(|s| {
-                        self.model
-                            .succ(s)
-                            .iter()
-                            .filter(|e| e.kind == crate::structure::TransKind::Proc(i))
-                            .any(|e| vg[e.to.index()])
-                    })
-                    .collect()
+                let vg = self.get(g);
+                match self.proc_succ().get(i) {
+                    Some(csr) => (0..n)
+                        .map(|s| csr.row(s).iter().any(|&t| vg[t as usize]))
+                        .collect(),
+                    None => vec![false; n],
+                }
             }
-            Formula::Au(g, h) => {
-                let vg = self.eval(arena, g).clone();
-                let vh = self.eval(arena, h).clone();
-                self.au_set(&vg, &vh)
-            }
-            Formula::Eu(g, h) => {
-                let vg = self.eval(arena, g).clone();
-                let vh = self.eval(arena, h).clone();
-                self.eu_set(&vg, &vh)
-            }
+            Formula::Au(g, h) => self.au_set(self.get(g), self.get(h)),
+            Formula::Eu(g, h) => self.eu_set(self.get(g), self.get(h)),
             Formula::Aw(g, h) => {
                 // A[gWh] = ¬E[¬g U ¬h]
-                let vg = self.eval(arena, g).clone();
-                let vh = self.eval(arena, h).clone();
-                let ng: Vec<bool> = vg.iter().map(|x| !x).collect();
-                let nh: Vec<bool> = vh.iter().map(|x| !x).collect();
-                self.eu_set(&ng, &nh).iter().map(|x| !x).collect()
+                let ng = negated(self.get(g));
+                let nh = negated(self.get(h));
+                negated(&self.eu_set(&ng, &nh))
             }
             Formula::Ew(g, h) => {
                 // E[gWh] = ¬A[¬g U ¬h]
-                let vg = self.eval(arena, g).clone();
-                let vh = self.eval(arena, h).clone();
-                let ng: Vec<bool> = vg.iter().map(|x| !x).collect();
-                let nh: Vec<bool> = vh.iter().map(|x| !x).collect();
-                self.au_set(&ng, &nh).iter().map(|x| !x).collect()
+                let ng = negated(self.get(g));
+                let nh = negated(self.get(h));
+                negated(&self.au_set(&ng, &nh))
             }
         }
     }
@@ -205,9 +254,7 @@ impl<'m> Checker<'m> {
     /// checker's semantics (i.e. the structure has no dead ends, so
     /// every fullpath is infinite).
     pub fn dead_end_free(&self) -> bool {
-        self.model
-            .state_ids()
-            .all(|s| self.path_succ(s).next().is_some())
+        self.path().succ_count.iter().all(|&c| c > 0)
     }
 
     /// `E[gUh]` over explicit satisfaction vectors (no arena needed):
@@ -235,35 +282,102 @@ impl<'m> Checker<'m> {
 
     /// `AG h` over an explicit satisfaction vector (`¬EF¬h`).
     pub fn ag_of(&self, h: &[bool]) -> Vec<bool> {
-        let nh: Vec<bool> = h.iter().map(|x| !x).collect();
-        self.ef_of(&nh).iter().map(|x| !x).collect()
+        negated(&self.ef_of(&negated(h)))
     }
 
-    fn path_succ(&self, s: StateId) -> impl Iterator<Item = StateId> + '_ {
-        let include_faults = self.semantics == Semantics::IncludeFaults;
-        self.model
-            .succ(s)
+    /// Per state: whether proposition `p` is `value` there.
+    fn prop(&self, p: PropId, value: bool) -> Vec<bool> {
+        let vals = self.valuations.get_or_init(|| {
+            let m = self.model;
+            let stride = m
+                .state_ids()
+                .map(|s| m.state(s).props.words().len())
+                .max()
+                .unwrap_or(0);
+            let mut words = vec![0; m.len() * stride];
+            for (s, row) in m.state_ids().zip(words.chunks_mut(stride.max(1))) {
+                let w = m.state(s).props.words();
+                row[..w.len()].copy_from_slice(w);
+            }
+            Valuations { stride, words }
+        });
+        let (w, mask) = (p.index() / 64, 1u64 << (p.index() % 64));
+        if w >= vals.stride {
+            return vec![!value; self.model.len()];
+        }
+        vals.words
             .iter()
-            .filter(move |e| include_faults || !e.kind.is_fault())
-            .map(|e| e.to)
+            .skip(w)
+            .step_by(vals.stride)
+            .map(|word| (word & mask != 0) == value)
+            .collect()
+    }
+
+    /// The per-process program-successor CSRs, built on first use in one
+    /// pass over the successor lists.
+    fn proc_succ(&self) -> &[Csr] {
+        self.proc_succ.get_or_init(|| {
+            let mut csrs: Vec<Csr> = Vec::new();
+            for s in self.model.state_ids() {
+                for e in self.model.succ(s) {
+                    if let TransKind::Proc(i) = e.kind {
+                        while csrs.len() <= i {
+                            csrs.push(Csr {
+                                offsets: vec![0; s.index() + 1],
+                                targets: Vec::new(),
+                            });
+                        }
+                        csrs[i].targets.push(e.to.0);
+                    }
+                }
+                for csr in &mut csrs {
+                    csr.offsets.push(row_end(&csr.targets));
+                }
+            }
+            csrs
+        })
+    }
+
+    /// The path-predecessor CSR and successor counts, built on first use
+    /// in one pass over the predecessor lists. Every transition is in
+    /// both its source's successor list and its target's predecessor
+    /// list ([`FtKripke`] adds them together), so counting path edges
+    /// by source over the predecessor lists gives the successor counts.
+    fn path(&self) -> &PathPred {
+        self.path.get_or_init(|| {
+            let m = self.model;
+            let include_faults = self.semantics == Semantics::IncludeFaults;
+            let mut succ_count = vec![0u32; m.len()];
+            let mut offsets = Vec::with_capacity(m.len() + 1);
+            let mut targets = Vec::new();
+            offsets.push(0);
+            for t in m.state_ids() {
+                for e in m.pred(t) {
+                    if include_faults || !e.kind.is_fault() {
+                        targets.push(e.to.0);
+                        succ_count[e.to.index()] += 1;
+                    }
+                }
+                offsets.push(row_end(&targets));
+            }
+            PathPred {
+                pred: Csr { offsets, targets },
+                succ_count,
+            }
+        })
     }
 
     /// Least fixpoint for `E[gUh]`:
     /// `X = h ∪ (g ∩ pre∃(X))`.
     fn eu_set(&self, g: &[bool], h: &[bool]) -> Vec<bool> {
-        let n = self.model.len();
+        let pred = &self.path().pred;
         let mut x: Vec<bool> = h.to_vec();
-        // Worklist over predecessors.
-        let mut work: Vec<StateId> = (0..n as u32).map(StateId).filter(|s| x[s.index()]).collect();
-        let include_faults = self.semantics == Semantics::IncludeFaults;
+        let mut work: Vec<u32> = (0..x.len() as u32).filter(|&s| x[s as usize]).collect();
         while let Some(t) = work.pop() {
-            for e in self.model.pred(t) {
-                if !include_faults && e.kind.is_fault() {
-                    continue;
-                }
-                let s = e.to; // source
-                if !x[s.index()] && g[s.index()] {
-                    x[s.index()] = true;
+            for &s in pred.row(t as usize) {
+                let i = s as usize;
+                if !x[i] && g[i] {
+                    x[i] = true;
                     work.push(s);
                 }
             }
@@ -277,32 +391,32 @@ impl<'m> Checker<'m> {
     /// Dead-end states satisfy `A[gUh]` iff `h` holds there (the only
     /// fullpath is the single-state path).
     fn au_set(&self, g: &[bool], h: &[bool]) -> Vec<bool> {
-        let n = self.model.len();
+        let path = self.path();
         let mut x: Vec<bool> = h.to_vec();
         // remaining[s] = number of path-successors of s not yet in X.
-        let mut remaining: Vec<usize> = (0..n as u32)
-            .map(StateId)
-            .map(|s| self.path_succ(s).count())
-            .collect();
-        let has_succ: Vec<bool> = remaining.iter().map(|&c| c > 0).collect();
-        let include_faults = self.semantics == Semantics::IncludeFaults;
-        let mut work: Vec<StateId> = (0..n as u32).map(StateId).filter(|s| x[s.index()]).collect();
+        let mut remaining = path.succ_count.clone();
+        let mut work: Vec<u32> = (0..x.len() as u32).filter(|&s| x[s as usize]).collect();
         while let Some(t) = work.pop() {
-            for e in self.model.pred(t) {
-                if !include_faults && e.kind.is_fault() {
-                    continue;
-                }
-                let s = e.to; // source
-                remaining[s.index()] = remaining[s.index()].saturating_sub(1);
-                if !x[s.index()] && g[s.index()] && has_succ[s.index()] && remaining[s.index()] == 0
-                {
-                    x[s.index()] = true;
+            for &s in path.pred.row(t as usize) {
+                let i = s as usize;
+                remaining[i] = remaining[i].saturating_sub(1);
+                if !x[i] && g[i] && path.succ_count[i] > 0 && remaining[i] == 0 {
+                    x[i] = true;
                     work.push(s);
                 }
             }
         }
         x
     }
+}
+
+/// The offset ending the CSR row just filled.
+fn row_end(targets: &[u32]) -> u32 {
+    u32::try_from(targets.len()).expect("a structure has fewer than 2^32 edges")
+}
+
+fn negated(v: &[bool]) -> Vec<bool> {
+    v.iter().map(|x| !x).collect()
 }
 
 /// A frozen per-state CTL labeling captured from a [`Checker`] run:
@@ -313,39 +427,44 @@ impl<'m> Checker<'m> {
 /// base-model truths onto merge candidates instead of re-checking them.
 #[derive(Clone, Debug, Default)]
 pub struct LabelCache {
-    labels: HashMap<FormulaId, Vec<bool>>,
+    /// Dense by formula id; `None` for formulae never evaluated.
+    labels: Vec<Option<Vec<bool>>>,
 }
 
 impl LabelCache {
     /// The satisfaction vector of `f`, if `f` was evaluated (directly
     /// or as a subformula) before the cache was captured.
     pub fn get(&self, f: FormulaId) -> Option<&[bool]> {
-        self.labels.get(&f).map(|v| v.as_slice())
+        self.labels.get(f.index()).and_then(Option::as_deref)
     }
 
     /// Whether `f` holds at `s`, if `f` is cached.
     pub fn holds(&self, f: FormulaId, s: StateId) -> Option<bool> {
-        self.labels.get(&f).map(|v| v[s.index()])
+        self.get(f).map(|v| v[s.index()])
     }
 
     /// Whether `f` is cached and holds at *every* state of the model.
     pub fn all_true(&self, f: FormulaId) -> bool {
-        self.labels.get(&f).is_some_and(|v| v.iter().all(|&x| x))
+        self.get(f).is_some_and(|v| v.iter().all(|&x| x))
     }
 
-    /// Ids of all cached formulae (arbitrary order).
+    /// Ids of all cached formulae, in increasing id order.
     pub fn formulas(&self) -> impl Iterator<Item = FormulaId> + '_ {
-        self.labels.keys().copied()
+        self.labels
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| v.is_some())
+            .map(|(i, _)| FormulaId(i as u32))
     }
 
     /// Number of cached formulae.
     pub fn len(&self) -> usize {
-        self.labels.len()
+        self.labels.iter().filter(|v| v.is_some()).count()
     }
 
     /// Whether nothing was cached.
     pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
+        self.len() == 0
     }
 }
 
@@ -566,5 +685,176 @@ mod tests {
         // A[n U c] fails: t-state breaks the g-chain.
         let au2 = fx.arena.au(n, c);
         assert!(!ck.holds(&fx.arena, au2, fx.ids[0]));
+    }
+}
+
+/// The production checker against the original one ([`reference`]) on
+/// seeded random structures: both semantics, dead ends, fault edges,
+/// parallel edges of different kinds, process indices with no edges,
+/// and valuations of different widths.
+#[cfg(test)]
+mod differential {
+    use super::*;
+    use crate::state::{PropSet, State};
+    use ftsyn_ctl::PropId;
+    use ftsyn_prng::XorShift64;
+
+    const PROCS: usize = 3;
+    const PROPS: u32 = 4;
+
+    fn random_structure(rng: &mut XorShift64) -> FtKripke {
+        let n = rng.range(1, 30);
+        let mut m = FtKripke::new();
+        for i in 0..n {
+            // Mixed widths: a 1-word and a 3-word valuation agree on
+            // every proposition below 64 and read the rest as absent.
+            let width = if rng.chance(0.3) { 130 } else { PROPS as usize };
+            let mut props = PropSet::with_capacity(width);
+            for p in 0..PROPS {
+                if rng.chance(0.4) {
+                    props.insert(PropId(p));
+                }
+            }
+            if width > 64 && rng.chance(0.5) {
+                props.insert(PropId(100));
+            }
+            let mut st = State::new(props);
+            st.shared.push(i as u32);
+            m.push_state(st);
+        }
+        for _ in 0..rng.below(3 * n + 1) {
+            let (from, to) = (StateId(rng.below(n) as u32), StateId(rng.below(n) as u32));
+            let kind = if rng.chance(0.3) {
+                TransKind::Fault(rng.below(2))
+            } else {
+                TransKind::Proc(rng.below(PROCS))
+            };
+            m.add_edge(from, kind, to);
+        }
+        m.add_init(StateId(0));
+        m
+    }
+
+    fn random_formula(rng: &mut XorShift64, arena: &mut FormulaArena, depth: usize) -> FormulaId {
+        let prop = |rng: &mut XorShift64| {
+            PropId(if rng.chance(0.1) {
+                100
+            } else {
+                rng.below(PROPS as usize) as u32
+            })
+        };
+        let kind = if depth == 0 {
+            rng.below(4)
+        } else {
+            rng.below(12)
+        };
+        let sub =
+            |rng: &mut XorShift64, arena: &mut FormulaArena| random_formula(rng, arena, depth - 1);
+        match kind {
+            0 => arena.tru(),
+            1 => arena.fls(),
+            2 => arena.prop(prop(rng)),
+            3 => arena.neg_prop(prop(rng)),
+            4 | 5 => {
+                let (a, b) = (sub(rng, arena), sub(rng, arena));
+                if kind == 4 {
+                    arena.and(a, b)
+                } else {
+                    arena.or(a, b)
+                }
+            }
+            6 | 7 => {
+                // Index PROCS has no edges at all.
+                let (i, g) = (rng.below(PROCS + 1), sub(rng, arena));
+                if kind == 6 {
+                    arena.ax(i, g)
+                } else {
+                    arena.ex(i, g)
+                }
+            }
+            _ => {
+                let (g, h) = (sub(rng, arena), sub(rng, arena));
+                match kind {
+                    8 => arena.au(g, h),
+                    9 => arena.eu(g, h),
+                    10 => arena.aw(g, h),
+                    _ => arena.ew(g, h),
+                }
+            }
+        }
+    }
+
+    /// `f` and all of its subformulae, children first.
+    fn subformulae(arena: &FormulaArena, f: FormulaId, out: &mut Vec<FormulaId>) {
+        if out.contains(&f) {
+            return;
+        }
+        match arena.get(f) {
+            Formula::True | Formula::False | Formula::Prop(_) | Formula::NegProp(_) => {}
+            Formula::Ax(_, g) | Formula::Ex(_, g) => subformulae(arena, g, out),
+            Formula::And(a, b)
+            | Formula::Or(a, b)
+            | Formula::Au(a, b)
+            | Formula::Eu(a, b)
+            | Formula::Aw(a, b)
+            | Formula::Ew(a, b) => {
+                subformulae(arena, a, out);
+                subformulae(arena, b, out);
+            }
+        }
+        out.push(f);
+    }
+
+    fn random_vector(rng: &mut XorShift64, n: usize) -> Vec<bool> {
+        (0..n).map(|_| rng.chance(0.5)).collect()
+    }
+
+    #[test]
+    fn every_subformula_matches_the_reference_checker() {
+        let mut rng = XorShift64::new(0xC5A_0001);
+        let mut compared = 0;
+        for case in 0..300 {
+            let m = random_structure(&mut rng);
+            for semantics in [Semantics::FaultFree, Semantics::IncludeFaults] {
+                let mut arena = FormulaArena::new(PROCS + 1);
+                let mut ck = Checker::new(&m, semantics);
+                let mut rk = reference::Checker::new(&m, semantics);
+                let mut seen = Vec::new();
+                // The arena grows between evaluations, as callers' do.
+                for _ in 0..4 {
+                    let f = random_formula(&mut rng, &mut arena, 4);
+                    assert_eq!(ck.eval(&arena, f), rk.eval(&arena, f), "case {case}");
+                    subformulae(&arena, f, &mut seen);
+                }
+                for &f in &seen {
+                    assert_eq!(ck.eval(&arena, f), rk.eval(&arena, f), "case {case}: {f:?}");
+                    compared += 1;
+                }
+                assert_eq!(ck.dead_end_free(), rk.dead_end_free(), "case {case}");
+                let (g, h) = (
+                    random_vector(&mut rng, m.len()),
+                    random_vector(&mut rng, m.len()),
+                );
+                assert_eq!(ck.eu_of(&g, &h), rk.eu_of(&g, &h), "case {case}");
+                assert_eq!(ck.au_of(&g, &h), rk.au_of(&g, &h), "case {case}");
+                assert_eq!(ck.ef_of(&h), rk.ef_of(&h), "case {case}");
+                assert_eq!(ck.af_of(&h), rk.af_of(&h), "case {case}");
+                assert_eq!(ck.ag_of(&h), rk.ag_of(&h), "case {case}");
+                let cache = ck.into_cache();
+                assert_eq!(cache.len(), seen.len(), "case {case}");
+                assert!(cache.formulas().all(|f| seen.contains(&f)), "case {case}");
+                for &f in &seen {
+                    assert_eq!(
+                        cache.get(f),
+                        Some(rk.eval(&arena, f).as_slice()),
+                        "case {case}"
+                    );
+                }
+            }
+        }
+        assert!(
+            compared > 10_000,
+            "only {compared} subformula vectors compared"
+        );
     }
 }

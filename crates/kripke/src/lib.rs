@@ -27,6 +27,9 @@ mod minimize;
 mod state;
 mod structure;
 
+/// The original checker, the equivalence oracle of [`Checker`].
+#[cfg(any(test, feature = "slow-reference"))]
+pub use checker::reference;
 pub use checker::{Checker, LabelCache, Semantics};
 pub use evidence::EvidencePath;
 pub use minimize::{bisimulation_quotient, Quotient};

@@ -63,6 +63,11 @@ impl PropSet {
         present
     }
 
+    /// The bitset words, lowest ids first.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.bits
+    }
+
     /// Membership test. Out-of-capacity ids are reported absent.
     pub fn contains(&self, p: PropId) -> bool {
         let (w, b) = (p.index() / 64, p.index() % 64);

@@ -69,7 +69,10 @@ pub enum StateRole {
 }
 
 /// A fault-tolerant Kripke structure.
-#[derive(Clone, Debug, Default)]
+///
+/// Equality is exact: the states, the initial states and every
+/// successor and predecessor list in order, and the interning index.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FtKripke {
     states: Vec<State>,
     init: Vec<StateId>,
@@ -106,6 +109,18 @@ impl FtKripke {
         self.succ.push(Vec::new());
         self.pred.push(Vec::new());
         id
+    }
+
+    /// Rebuilds the interning index from the states, the first of equal
+    /// states winning. A structure built with [`FtKripke::push_state`]
+    /// from pairwise distinct states is then equal to the one
+    /// [`FtKripke::intern_state`] builds from the same states, at one
+    /// hash per state and no rehashing as the index grows.
+    pub fn reindex(&mut self) {
+        self.index = HashMap::with_capacity(self.states.len());
+        for (i, s) in self.states.iter().enumerate() {
+            self.index.entry(s.clone()).or_insert(StateId(i as u32));
+        }
     }
 
     /// Marks a state as initial.
@@ -402,6 +417,24 @@ mod tests {
             n,
             props.iter().map(|&p| PropId(p)),
         ))
+    }
+
+    #[test]
+    fn reindex_matches_interning() {
+        let states = [mk_state(4, &[0]), mk_state(4, &[1]), mk_state(4, &[0, 2])];
+        let mut interned = FtKripke::new();
+        let mut pushed = FtKripke::new();
+        for st in &states {
+            interned.intern_state(st.clone());
+            pushed.push_state(st.clone());
+        }
+        assert!(pushed.find_state(&states[1]).is_none());
+        pushed.reindex();
+        assert_eq!(pushed, interned);
+        // Among equal states the first keeps the index entry.
+        pushed.push_state(states[1].clone());
+        pushed.reindex();
+        assert_eq!(pushed.find_state(&states[1]), Some(StateId(1)));
     }
 
     /// init → s1 → s2 (program), s1 -fault-> s3 → s4 (recovery chain).
