@@ -174,6 +174,7 @@ fn stats_json(stats: &SynthesisStats, solved: bool) -> String {
                 .num("base_labelings", stats.minimize_profile.base_labelings)
                 .num("full_checks", stats.minimize_profile.full_checks)
                 .num("carried", stats.minimize_profile.carried)
+                .num("site_carried", stats.minimize_profile.site_carried)
                 .num("parallel_batches", stats.minimize_profile.parallel_batches)
                 .num("parallel_steals", stats.minimize_profile.parallel_steals)
                 .num("speculative_attempts", stats.minimize_profile.speculative_attempts)
@@ -682,7 +683,7 @@ fn main() {
             "generated_by",
             "cargo run --release -p ftsyn-bench --bin bench_json",
         )
-        .str("schema_version", "12")
+        .str("schema_version", "13")
         .raw("problems", &arr(problems))
         .raw("budgeted", &arr(budgeted))
         .raw("service_throughput", &arr(service_rows))

@@ -190,7 +190,7 @@ fn main() -> ExitCode {
                      {} blocks candidates / {} minimal), \
                      delete {:.1?} ({} rounds, {} worklist pops, {} certs built, {} reused), \
                      unravel {:.1?}, minimize {:.1?} ({} merges of {} tried, \
-                     {} full checks / {} carried rejections, \
+                     {} full checks / {} carried rejections ({} at perturbed sites), \
                      {} base labelings, {} threads), \
                      extract {:.1?} ({} shared vars, {} explored vs {} model states, \
                      {} off-model, explore {:.1?}, re-check {:.1?}, \
@@ -220,6 +220,7 @@ fn main() -> ExitCode {
                         st.minimize_profile.attempts,
                         st.minimize_profile.full_checks,
                         st.minimize_profile.carried,
+                        st.minimize_profile.site_carried,
                         st.minimize_profile.base_labelings,
                         st.minimize_profile.threads,
                         st.extract_time,

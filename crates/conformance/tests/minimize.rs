@@ -57,6 +57,16 @@ fn pipeline_problems() -> Vec<(&'static str, SynthesisProblem)> {
         ("mutex2-failstop-masking", mutex::with_fail_stop(2, Tolerance::Masking)),
         ("mutex3-failstop-masking", mutex::with_fail_stop(3, Tolerance::Masking)),
         ("philosophers3", mutex::dining_philosophers(3)),
+        (
+            "multitolerance-mutex3-P1-nonmasking",
+            mutex::with_fail_stop_multitolerance(3, |f| {
+                if f.name().contains("P1") {
+                    Tolerance::Nonmasking
+                } else {
+                    Tolerance::Masking
+                }
+            }),
+        ),
     ]
 }
 

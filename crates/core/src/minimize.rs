@@ -37,9 +37,13 @@
 //!    lowest-index success at every thread count — the exact candidate
 //!    the sequential greedy scan would take.
 //! 3. **Carried rejections.** A candidate rejected because a universal
-//!    `AG` conjunct of the specification fails at the initial state
-//!    stays rejected after every later merge ([`Carried`]), so later
-//!    rounds reject it without building the candidate.
+//!    `AG` part of a requirement fails at an obligation site stays
+//!    rejected after every later merge while that site still carries
+//!    the obligation ([`Carried`]), so later rounds reject it without
+//!    building the candidate. A spec part failing at the initial state
+//!    carries unconditionally; a tolerance part failing at a perturbed
+//!    site other than the merged state carries as long as the site's
+//!    image stays perturbed and the pair's reachability agrees.
 //!
 //! Transfers only ever prove *satisfaction*; every rejection comes from
 //! an exact evaluation on the candidate, or from a carried exact
@@ -81,6 +85,10 @@ pub struct MinimizeProfile {
     /// round, without building the candidate. `full_checks + carried ==
     /// attempts`.
     pub carried: usize,
+    /// The subset of `carried` decided by the perturbed-site rule: a
+    /// universal tolerance part that failed at a perturbed site whose
+    /// image is still perturbed (see [`Carried`]).
+    pub site_carried: usize,
     /// Work chunks claimed by parallel candidate scans (zero when the
     /// scan runs on one thread). Not deterministic across thread counts.
     pub parallel_batches: usize,
@@ -98,15 +106,16 @@ pub struct MinimizeProfile {
 impl MinimizeProfile {
     /// The counters guaranteed to be bit-identical across thread counts
     /// (in declaration order: attempts, merges, base labelings, full
-    /// checks, carried rejections). The conformance thread-matrix tests
-    /// compare exactly this slice.
-    pub fn deterministic_counters(&self) -> [usize; 5] {
+    /// checks, carried rejections, site-carried rejections). The
+    /// conformance thread-matrix tests compare exactly this slice.
+    pub fn deterministic_counters(&self) -> [usize; 6] {
         [
             self.attempts,
             self.merges,
             self.base_labelings,
             self.full_checks,
             self.carried,
+            self.site_carried,
         ]
     }
 
@@ -114,6 +123,10 @@ impl MinimizeProfile {
         match kind {
             Kind::Full => self.full_checks += 1,
             Kind::Carried => self.carried += 1,
+            Kind::SiteCarried => {
+                self.carried += 1;
+                self.site_carried += 1;
+            }
         }
     }
 }
@@ -194,6 +207,10 @@ struct Requirements {
     /// spec's `AG h` conjuncts — the parts whose failure at the initial
     /// state is carried across rounds (see [`Carried`]).
     carriable: Vec<bool>,
+    /// Dense by formula id: the universal conjuncts `p` of `h` for any
+    /// requirement `AG h`, spec or tolerance — the parts whose failure
+    /// at a perturbed site is carried (see [`Carried`]).
+    universal: Vec<bool>,
     num_props: usize,
 }
 
@@ -217,7 +234,7 @@ impl Requirements {
         let spec_formula = problem.spec.formula(&mut problem.arena);
         let distinct = problem.tolerance.distinct();
         let mut roots = vec![spec_formula];
-        let mut tol_reqs = Vec::new();
+        let mut tol_reqs: Vec<Vec<Req>> = Vec::new();
         for &tol in &distinct {
             let fs = problem.label_tol_formulas(tol);
             roots.extend(fs.iter().copied());
@@ -243,6 +260,14 @@ impl Requirements {
                 }
             }
         }
+        let mut universal = carriable.clone();
+        for r in tol_reqs.iter().flatten() {
+            if let Req::Ag { parts, .. } = r {
+                for &p in parts {
+                    universal[p.index()] = is_universal(&problem.arena, p);
+                }
+            }
+        }
         Requirements {
             semantics,
             spec,
@@ -250,6 +275,7 @@ impl Requirements {
             tol_of_action,
             roots,
             carriable,
+            universal,
             num_props: problem.props.len(),
         }
     }
@@ -287,6 +313,9 @@ struct RoundCtx {
     /// candidate inherits, computed once per round instead of
     /// re-classifying every candidate.
     perturbed: Vec<(StateId, Vec<usize>)>,
+    /// Dense by base state: whether it is perturbed (the role check of
+    /// a site-carried rejection).
+    is_perturbed: Vec<bool>,
 }
 
 /// The fault-closure predicate of `verify_semantic`: every enabled
@@ -361,6 +390,7 @@ fn round_ctx(env: &Env<'_>, model: &FtKripke, roles: &[StateRole]) -> RoundCtx {
         fault_closed: is_fault_closed(env.faults, env.reqs.num_props, model),
         reach: reachable_with_faults(model),
         perturbed,
+        is_perturbed: roles.iter().map(|&r| r == StateRole::Perturbed).collect(),
     }
 }
 
@@ -488,6 +518,19 @@ enum Kind {
     Full,
     /// Rejected by a rejection carried over from an earlier round.
     Carried,
+    /// [`Kind::Carried`] by the perturbed-site rule.
+    SiteCarried,
+}
+
+/// Whether, and how, a rejection carries into later rounds.
+#[derive(Clone, Copy, Debug)]
+enum Carry {
+    /// Not carried.
+    No,
+    /// Carried unconditionally (violation at the initial state).
+    Pair,
+    /// Carried while this base state's image stays perturbed.
+    Site(StateId),
 }
 
 /// Per-candidate verdict plus its cost class. Deliberately tiny: the
@@ -497,25 +540,27 @@ enum Kind {
 struct Decision {
     ok: bool,
     kind: Kind,
-    /// The rejection survives every later merge (see [`Carried`]).
-    carry: bool,
+    /// Whether the rejection survives later merges (see [`Carried`]).
+    carry: Carry,
     /// The `AG` part that refuted the candidate, if one did.
     killer: Option<FormulaId>,
 }
 
 impl Decision {
-    const CARRIED: Decision = Decision {
-        ok: false,
-        kind: Kind::Carried,
-        carry: true,
-        killer: None,
-    };
+    fn carried(kind: Kind) -> Decision {
+        Decision {
+            ok: false,
+            kind,
+            carry: Carry::No,
+            killer: None,
+        }
+    }
 
     fn full(ok: bool) -> Decision {
         Decision {
             ok,
             kind: Kind::Full,
-            carry: false,
+            carry: Carry::No,
             killer: None,
         }
     }
@@ -533,24 +578,37 @@ impl Decision {
 /// rejection carries when
 ///
 /// 1. the refuting formula is a universal conjunct `p` of `h` for a
-///    spec conjunct `AG h` (an existential witness need not survive a
-///    merge);
+///    requirement `AG h`, spec or tolerance (an existential witness
+///    need not survive a merge);
 /// 2. the base was dead-end free under the semantics in force
 ///    ([`RoundCtx::no_dead_ends`]) — otherwise a finite maximal path
 ///    may become extendable after a merge, which can make `A[gUh]`
 ///    true; merging never removes successors, so every later quotient
 ///    stays dead-end free;
-/// 3. the violation is at the initial state, where the spec obligation
-///    always applies. A tolerance obligation at a perturbed state is
-///    not carried: a later merge can make that state's image normal
-///    and so drop the obligation.
+/// 3. the obligation still applies at the violation's image. Either
+///    `p` belongs to the spec and the violation is at the initial
+///    state, where the spec always applies (`pairs`); or it is a
+///    violation at a perturbed site other than the merged state, found
+///    on a pair of equal reachability (`sites`, keyed to the site in
+///    base ids). Fault edges map forward, so the site's image is hit by
+///    every fault action that hit the site and its tolerance
+///    obligations only grow; the one way to lose the obligation is for
+///    the image to stop being perturbed. A later round therefore
+///    applies a site entry only when the site's image is perturbed in
+///    its base and the pair's reachability still agrees — then the
+///    candidate keeps the base's roles (see [`decide_on`]) and the
+///    image is an obligation site of the candidate, merged state or
+///    not.
 ///
 /// Only committed verdicts (scan indices below the accepted merge) are
 /// recorded, never speculative ones, and each accepted merge maps every
-/// pair forward through its step map; pairs it collapses are dropped.
+/// pair and site forward through its step map; pairs it collapses are
+/// dropped. Pairs that collide keep the least site id, so the entry is
+/// the same whatever order the map is walked in.
 #[derive(Default)]
 struct Carried {
     pairs: HashSet<(StateId, StateId)>,
+    sites: HashMap<(StateId, StateId), StateId>,
 }
 
 impl Carried {
@@ -558,23 +616,49 @@ impl Carried {
         (a.min(b), a.max(b))
     }
 
-    fn contains(&self, a: StateId, b: StateId) -> bool {
-        self.pairs.contains(&Carried::key(a, b))
+    /// The carried rejection of candidate `from → into` in `round`, if
+    /// one applies.
+    fn rejects(&self, round: &RoundCtx, from: StateId, into: StateId) -> Option<Kind> {
+        let key = Carried::key(from, into);
+        if self.pairs.contains(&key) {
+            return Some(Kind::Carried);
+        }
+        let site = *self.sites.get(&key)?;
+        (round.reach[from.index()] == round.reach[into.index()]
+            && round.is_perturbed[site.index()])
+        .then_some(Kind::SiteCarried)
     }
 
-    fn insert(&mut self, a: StateId, b: StateId) {
-        self.pairs.insert(Carried::key(a, b));
+    fn record(&mut self, a: StateId, b: StateId, carry: Carry) {
+        match carry {
+            Carry::No => {}
+            Carry::Pair => {
+                self.pairs.insert(Carried::key(a, b));
+            }
+            Carry::Site(s) => {
+                self.sites.insert(Carried::key(a, b), s);
+            }
+        }
     }
 
-    /// Maps every pair through an accepted merge's step map.
+    /// Maps every pair and site through an accepted merge's step map.
     fn step(&mut self, step_map: &[StateId]) {
-        self.pairs = self
-            .pairs
-            .iter()
-            .map(|&(a, b)| (step_map[a.index()], step_map[b.index()]))
-            .filter(|(a, b)| a != b)
-            .map(|(a, b)| Carried::key(a, b))
-            .collect();
+        let map = |a: StateId, b: StateId| {
+            let (a, b) = (step_map[a.index()], step_map[b.index()]);
+            (a != b).then(|| Carried::key(a, b))
+        };
+        self.pairs = self.pairs.iter().filter_map(|&(a, b)| map(a, b)).collect();
+        let mut sites = HashMap::with_capacity(self.sites.len());
+        for (&(a, b), &s) in &self.sites {
+            if let Some(key) = map(a, b) {
+                let s = step_map[s.index()];
+                sites
+                    .entry(key)
+                    .and_modify(|t: &mut StateId| *t = (*t).min(s))
+                    .or_insert(s);
+            }
+        }
+        self.sites = sites;
     }
 }
 
@@ -718,7 +802,8 @@ fn decide_on(
     // precomputed site list therefore *is* the candidate's. Unequal
     // reachability (rare: the pair's class spans reachable and
     // unreachable states) falls back to classifying the candidate.
-    if round.reach[from.index()] == round.reach[into.index()] {
+    let same_roles = round.reach[from.index()] == round.reach[into.index()];
+    if same_roles {
         let mut merged_tols: Vec<usize> = Vec::new();
         for (s, tols) in &round.perturbed {
             if *s == from || *s == into {
@@ -783,12 +868,23 @@ fn decide_on(
                 ck.ag_of(&vp)
             });
             if sites.iter().any(|&c| !ag[c.index()]) {
+                let carry = if !round.no_dead_ends {
+                    Carry::No
+                } else if env.reqs.carriable[p.index()] && !ag[init_c.index()] {
+                    Carry::Pair
+                } else if same_roles && env.reqs.universal[p.index()] {
+                    // Every site but the initial state is perturbed here.
+                    sites
+                        .iter()
+                        .find(|&&c| !ag[c.index()] && c != init_c && c != merged_state)
+                        .map_or(Carry::No, |&c| Carry::Site(preimage(c, from)))
+                } else {
+                    Carry::No
+                };
                 return Decision {
                     ok: false,
                     kind: Kind::Full,
-                    carry: round.no_dead_ends
-                        && env.reqs.carriable[p.index()]
-                        && !ag[init_c.index()],
+                    carry,
                     killer: Some(p),
                 };
             }
@@ -935,15 +1031,15 @@ fn minimize_core(
                 g.check_realtime()?;
             }
             let (from, into) = candidates[i];
-            if carried.contains(from, into) {
+            if let Some(kind) = carried.rejects(&round, from, into) {
                 // The soundness oracle: a carried rejection must agree
                 // with a full decision on the candidate.
                 #[cfg(any(test, feature = "slow-reference"))]
                 assert!(
                     !decide(&env, &model, &round, &kills, from, into).ok,
-                    "carried rejection of {from:?}->{into:?} passes a full decision"
+                    "{kind:?} rejection of {from:?}->{into:?} passes a full decision"
                 );
-                return Ok((false, Decision::CARRIED));
+                return Ok((false, Decision::carried(kind)));
             }
             let d = decide(&env, &model, &round, &kills, from, into);
             Ok((d.ok, d))
@@ -965,9 +1061,7 @@ fn minimize_core(
                 for (d, &(a, b)) in outcomes.iter().take(j + 1).zip(&candidates) {
                     let d = d.expect("the committed prefix is decided");
                     profile.count(d.kind);
-                    if d.carry {
-                        carried.insert(a, b);
-                    }
+                    carried.record(a, b, d.carry);
                     if let Some(p) = d.killer {
                         *kills.entry(p).or_insert(0) += 1;
                     }
@@ -1180,6 +1274,19 @@ mod tests {
         unravel_mode(&tableau, &closure, &problem.props, c0, problem.mode).model
     }
 
+    /// Three-process mutex whose P1 faults are tolerated nonmasking and
+    /// all others masking: its tolerance requirements are universal
+    /// `AG` parts checked at perturbed sites.
+    fn multitolerance_mutex3() -> SynthesisProblem {
+        mutex::with_fail_stop_multitolerance(3, |f| {
+            if f.name().contains("P1") {
+                crate::Tolerance::Nonmasking
+            } else {
+                crate::Tolerance::Masking
+            }
+        })
+    }
+
     #[test]
     fn merged_redirects_edges() {
         use ftsyn_kripke::State;
@@ -1305,6 +1412,7 @@ mod tests {
                 mutex::with_fail_stop(2, crate::Tolerance::Nonmasking)
             }),
             ("phil3", || mutex::dining_philosophers(3)),
+            ("multitolerance-mutex3-P1-nonmasking", multitolerance_mutex3),
         ];
         for (name, mk) in problems {
             let mut problem = mk();
@@ -1343,6 +1451,12 @@ mod tests {
                         "{name}: no rejection carried across rounds: {profile:?}"
                     );
                 }
+                if name == "multitolerance-mutex3-P1-nonmasking" {
+                    assert!(
+                        profile.site_carried > 0,
+                        "{name}: no rejection carried at a perturbed site: {profile:?}"
+                    );
+                }
             }
         }
     }
@@ -1358,6 +1472,7 @@ mod tests {
                 mutex::with_fail_stop(2, crate::Tolerance::Masking)
             }),
             ("phil3", || mutex::dining_philosophers(3)),
+            ("multitolerance-mutex3-P1-nonmasking", multitolerance_mutex3),
         ];
         for (name, mk) in problems {
             let mut problem = mk();

@@ -1177,6 +1177,7 @@ pub fn serve<R: BufRead, W: Write + Send>(
     };
     let mut read_error = None;
     std::thread::scope(|scope| {
+        let mut workers = Workers::default();
         for line in input.lines() {
             let line = match line {
                 Ok(l) => l,
@@ -1217,10 +1218,9 @@ pub fn serve<R: BufRead, W: Write + Send>(
             // no later line can change.
             match op {
                 Op::Synthesize(req) => match service.register(&req.id, req.budget.clone(), None) {
-                    Ok(reg) => {
-                        let answer = &answer;
-                        scope.spawn(move || answer(&id, service.submit_registered(req, reg)));
-                    }
+                    Ok(reg) => workers.spawn(scope, &answer, id, move || {
+                        service.submit_registered(req, reg)
+                    }),
                     Err(reply) => answer(&id, reply),
                 },
                 Op::Resume {
@@ -1229,12 +1229,9 @@ pub fn serve<R: BufRead, W: Write + Send>(
                     budget,
                     ..
                 } => match service.register(&id, budget, Some(&from)) {
-                    Ok(reg) => {
-                        let answer = &answer;
-                        scope.spawn(move || {
-                            answer(&id, service.resume_registered(&from, threads, reg))
-                        });
-                    }
+                    Ok(reg) => workers.spawn(scope, &answer, id, move || {
+                        service.resume_registered(&from, threads, reg)
+                    }),
                     Err(reply) => answer(&id, reply),
                 },
                 op => answer(&id, dispatch(service, op)),
@@ -1247,6 +1244,53 @@ pub fn serve<R: BufRead, W: Write + Send>(
             let mut w = lock(&out);
             w.flush()
         }
+    }
+}
+
+/// The request workers of one [`serve`] loop. Each spawn first joins
+/// every worker whose reply is ready. glibc hands a thread that starts
+/// while another is still exiting a fresh malloc arena, so without the
+/// join a closed-loop client's next request often ran in a new arena
+/// while the previous request's freed heap stayed behind in its own,
+/// and the daemon's peak RSS landed in one of two modes from run to
+/// run.
+#[derive(Default)]
+struct Workers<'scope> {
+    running: Vec<(std::thread::ScopedJoinHandle<'scope, ()>, Arc<AtomicBool>)>,
+}
+
+impl<'scope> Workers<'scope> {
+    /// Runs `work` on a new worker that answers `id` with its reply.
+    fn spawn<'env, A>(
+        &mut self,
+        scope: &'scope std::thread::Scope<'scope, 'env>,
+        answer: &'scope A,
+        id: String,
+        work: impl FnOnce() -> Reply + Send + 'scope,
+    ) where
+        A: Fn(&str, Reply) + Sync,
+    {
+        let (ready, running): (Vec<_>, Vec<_>) = std::mem::take(&mut self.running)
+            .into_iter()
+            .partition(|(_, ready)| ready.load(Ordering::Acquire));
+        self.running = running;
+        for (handle, _) in ready {
+            // The worker is writing its reply or already done; this
+            // waits for that and for its exit, nothing more.
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        let ready = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&ready);
+        let handle = scope.spawn(move || {
+            let reply = work();
+            // Set before the reply goes out, so a client that answers
+            // it with its next line always finds this worker joinable.
+            flag.store(true, Ordering::Release);
+            answer(&id, reply);
+        });
+        self.running.push((handle, ready));
     }
 }
 
